@@ -1,7 +1,8 @@
 //! Set-at-a-time axis evaluation over the structure-of-arrays
-//! [`AxisIndex`](xpath_xml::AxisIndex) and the hybrid [`NodeSet`] — the
-//! fourth interchangeable axis backend (§3: "the actual techniques for
-//! evaluating axes … will be interchangeable").
+//! [`AxisIndex`](xpath_xml::AxisIndex) and the hybrid [`NodeSet`], and the
+//! adaptive planner ([`axis_set_planned`]) that picks per application
+//! between these kernels and the per-node loop of [`crate::fast`] — the
+//! engine's one axis path.
 //!
 //! Where [`crate::fast`] enumerates per node and merges, this module
 //! applies each axis to a whole set at once:
@@ -31,13 +32,6 @@ use crate::cost::{CostModel, Kernel};
 /// filtering), set-at-a-time. Output is in document order.
 pub fn axis_set(doc: &Document, axis: Axis, set: &NodeSet) -> NodeSet {
     axis_set_inner(doc, axis, set, true)
-}
-
-/// Adaptive typed axis function: [`axis_set_planned`] under the
-/// process-wide [`CostModel::global`], discarding the provenance. This is
-/// the engine's default axis entry point.
-pub fn axis_set_adaptive(doc: &Document, axis: Axis, set: &NodeSet) -> NodeSet {
-    axis_set_planned(doc, axis, set, CostModel::global()).0
 }
 
 /// Cost-based adaptive axis dispatch: estimate each applicable kernel's

@@ -1,11 +1,9 @@
-//! Direct (non-regex) axis evaluation.
-//!
-//! §3 notes that "the actual techniques for evaluating axes in our efficient
-//! XPath processing algorithms will be interchangeable". This module is the
-//! production implementation: per-node axis enumeration and linear-time
-//! set-to-set axis functions built on the preorder/subtree-interval
-//! representation. Property tests assert equivalence with the Algorithm 3.2
-//! reference implementation in [`crate::regex`].
+//! Direct (non-regex) axis evaluation: per-node axis enumeration and
+//! linear-time set-to-set axis functions built on the
+//! preorder/subtree-interval representation. [`axis_from_into`] is the
+//! per-node kernel of the adaptive planner
+//! ([`crate::bulk::axis_set_planned`]). Unit tests assert equivalence with
+//! the Algorithm 3.2 reference implementation in [`crate::regex`].
 
 use xpath_syntax::Axis;
 use xpath_xml::{Document, NodeId, NodeKind};
@@ -117,13 +115,6 @@ pub fn axis_from_into(doc: &Document, axis: Axis, x: NodeId, out: &mut Vec<NodeI
 /// and duplicate-free. Runs in `O(|dom|)` for every axis.
 pub fn eval_axis(doc: &Document, axis: Axis, set: &[NodeId]) -> Vec<NodeId> {
     eval_axis_inner(doc, axis, set, true)
-}
-
-/// Untyped set-to-set axis function `χ0(S)` (§3) via the same direct
-/// algorithms — used for inverse-axis computation and as a fast counterpart
-/// to [`crate::regex::eval_axis_untyped`].
-pub fn eval_axis_untyped_fast(doc: &Document, axis: Axis, set: &[NodeId]) -> Vec<NodeId> {
-    eval_axis_inner(doc, axis, set, false)
 }
 
 fn keep(doc: &Document, n: NodeId, typed: bool) -> bool {
@@ -295,22 +286,6 @@ pub fn inverse_axis_set(doc: &Document, axis: Axis, set: &[NodeId]) -> Vec<NodeI
     }
 }
 
-/// Sort a node set by `<doc,χ` (§4): document order for forward axes,
-/// reverse document order for reverse axes. Input must be sorted in
-/// document order.
-pub fn order_for_axis(axis: Axis, set: &mut [NodeId]) {
-    if !axis.is_forward() {
-        set.reverse();
-    }
-}
-
-/// `idx_χ(x, S)`: the 1-based index of `x` in `S` with respect to `<doc,χ`
-/// (§4). `S` must be sorted in document order.
-pub fn idx_in(axis: Axis, x: NodeId, set: &[NodeId]) -> Option<usize> {
-    let pos = set.binary_search(&x).ok()?;
-    Some(if axis.is_forward() { pos + 1 } else { set.len() - pos })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,19 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn idx_forward_and_reverse() {
-        let doc = doc_flat(4); // b's: 2,3,4,5
-        let sibs = eval_axis(&doc, Axis::FollowingSibling, &[NodeId(2)]);
-        assert_eq!(idx_in(Axis::FollowingSibling, NodeId(3), &sibs), Some(1));
-        assert_eq!(idx_in(Axis::FollowingSibling, NodeId(5), &sibs), Some(3));
-        let pre = eval_axis(&doc, Axis::PrecedingSibling, &[NodeId(5)]);
-        // Reverse order: nearest sibling (4) has index 1.
-        assert_eq!(idx_in(Axis::PrecedingSibling, NodeId(4), &pre), Some(1));
-        assert_eq!(idx_in(Axis::PrecedingSibling, NodeId(2), &pre), Some(3));
-        assert_eq!(idx_in(Axis::PrecedingSibling, NodeId(0), &pre), None);
-    }
-
-    #[test]
     fn attribute_axis_only_attributes() {
         let doc = doc_figure8();
         let a = doc.element_by_id("10").unwrap();
@@ -419,15 +381,5 @@ mod tests {
         let kids = eval_axis(&doc, Axis::Child, &[a]);
         assert!(kids.iter().all(|&k| doc.kind(k) != NodeKind::Attribute));
         assert_eq!(kids.len(), 2);
-    }
-
-    #[test]
-    fn order_for_axis_reverses_reverse_axes() {
-        let mut v = vec![NodeId(1), NodeId(2), NodeId(3)];
-        order_for_axis(Axis::Ancestor, &mut v);
-        assert_eq!(v, vec![NodeId(3), NodeId(2), NodeId(1)]);
-        let mut v = vec![NodeId(1), NodeId(2)];
-        order_for_axis(Axis::Child, &mut v);
-        assert_eq!(v, vec![NodeId(1), NodeId(2)]);
     }
 }

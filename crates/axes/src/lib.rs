@@ -8,15 +8,11 @@
 //!   **Algorithm 3.2** in `O(|dom|)` (Lemma 3.3);
 //! * [`typed`] — the §4 lifting to XPath's typed axes (attribute/namespace
 //!   filtering) on top of Algorithm 3.2;
-//! * [`fast`] — interchangeable direct implementations (per-node
-//!   enumeration, preorder-interval set algorithms, inverse axes `χ⁻¹` for
-//!   §10/§11, `idx_χ` document-order indexing);
+//! * [`fast`] — the per-node kernels: axis enumeration from one node
+//!   ([`fast::axis_from`]), preorder-interval set algorithms
+//!   ([`fast::eval_axis`]) and the inverse axes `χ⁻¹` of §10/§11;
 //! * [`id`] — the `id` axis and its linear-time `ref`-relation encoding
 //!   (Theorem 10.7);
-//! * [`prepost`] — the pre/post-plane window encoding (Grust et al. 2004)
-//!   and the Stack-Tree structural merge join (Al-Khalifa et al. 2002), the
-//!   two axis-evaluation techniques §3 cites as interchangeable with
-//!   Algorithm 3.2;
 //! * [`bulk`] — set-at-a-time axis functions over the hybrid
 //!   [`NodeSet`](xpath_xml::NodeSet) and the structure-of-arrays
 //!   [`AxisIndex`](xpath_xml::AxisIndex): staircase joins for the interval
@@ -29,9 +25,10 @@
 //!   planner ([`bulk::axis_set_planned`]): per axis application, pick the
 //!   cheapest of the per-node loop, the sparse staircase and the dense
 //!   word-parallel kernel from input density × axis shape × document
-//!   size — the engine's default backend.
+//!   size. This is the engine's one axis path; Algorithm 3.2 stays as the
+//!   reference the differential suites check it against.
 //!
-//! Property tests assert that all backends agree with the Algorithm 3.2
+//! Property tests assert that the kernels agree with the Algorithm 3.2
 //! reference on random documents.
 
 #![forbid(unsafe_code)]
@@ -41,18 +38,13 @@ pub mod bulk;
 pub mod cost;
 pub mod fast;
 pub mod id;
-pub mod prepost;
 pub mod regex;
 pub mod stream;
 pub mod typed;
 
-pub use bulk::{axis_set, axis_set_adaptive, axis_set_planned};
+pub use bulk::{axis_set, axis_set_planned};
 pub use cost::{BatchMode, CostModel, Kernel, KernelCounters, KernelCounts};
-pub use fast::{
-    axis_from, axis_from_into, eval_axis, eval_axis_untyped_fast, idx_in, inverse_axis_set,
-    order_for_axis,
-};
-pub use prepost::{join_ancestors, join_descendants, stack_tree_join, PrePostPlane};
+pub use fast::{axis_from, axis_from_into, eval_axis, inverse_axis_set};
 pub use stream::{is_streamable, StepStreamer};
 pub use typed::eval_axis_alg32;
 
@@ -101,8 +93,8 @@ mod proptests {
             }
         }
 
-        /// The bulk set-at-a-time backend equals the direct backend on
-        /// random documents, for both NodeSet representations.
+        /// The bulk set-at-a-time kernels equal the per-node set
+        /// algorithms on random documents, for both NodeSet representations.
         #[test]
         fn bulk_equals_fast_on_random_docs(seed in 0u64..5000) {
             let cfg = RandomDocConfig { elements: 35, ..RandomDocConfig::default() };
@@ -115,30 +107,6 @@ mod proptests {
                 let want = crate::fast::eval_axis(&doc, axis, &ids);
                 prop_assert_eq!(crate::bulk::axis_set(&doc, axis, &sparse).to_vec(), want.clone(), "{:?} sparse", axis);
                 prop_assert_eq!(crate::bulk::axis_set(&doc, axis, &dense).to_vec(), want, "{:?} dense", axis);
-            }
-        }
-
-        /// The pre/post-plane backend equals the direct backend on random
-        /// documents (four-way interchangeability per §3).
-        #[test]
-        fn plane_equals_fast_on_random_docs(seed in 0u64..5000) {
-            let cfg = RandomDocConfig { elements: 30, ..RandomDocConfig::default() };
-            let doc = doc_random(seed, &cfg);
-            let plane = crate::prepost::PrePostPlane::new(&doc);
-            for axis in Axis::STANDARD {
-                for x in doc.all_nodes() {
-                    prop_assert_eq!(
-                        plane.window(&doc, axis, x),
-                        crate::fast::eval_axis(&doc, axis, &[x]),
-                        "{:?} from {:?}", axis, x
-                    );
-                }
-                let odds: Vec<NodeId> = doc.all_nodes().filter(|n| n.0 % 2 == 1).collect();
-                prop_assert_eq!(
-                    plane.eval_axis(&doc, axis, &odds),
-                    crate::fast::eval_axis(&doc, axis, &odds),
-                    "{:?} set", axis
-                );
             }
         }
 

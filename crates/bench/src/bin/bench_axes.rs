@@ -11,8 +11,6 @@
 //!   the planner's chosen `kernel` so each cell is attributable;
 //! * **set_ops** — union/intersect/difference on the dense-bitset vs the
 //!   sorted-vec representation across densities;
-//! * **queries** — whole-query Core XPath evaluation with the adaptive and
-//!   bulk backends vs the per-node direct backend;
 //! * **parallel_cvt** — the sharded parallel layer (`xpath_core::parallel`)
 //!   on a ≥10⁵-node document: bottom-up CVT row fills and set-at-a-time
 //!   descendant/following axis passes at 1/2/4 shards vs the serial
@@ -50,7 +48,7 @@
 //!                    than a cold parse / the snapshot file exceeds 2×
 //!                    the in-memory arena size (the snapshot guard).
 //!                    The timing baseline is pinned to a 1-thread budget —
-//!                    the parallel backend is correctness-checked here,
+//!                    sharded evaluation is correctness-checked here,
 //!                    never timed, so CI core counts can't flake the guard
 //!   `… --calibrate`  measure the cost-model constants (incl. the
 //!                    spawn/merge constants gating the parallel layer and
@@ -63,7 +61,7 @@ use std::time::{Duration, Instant};
 
 use xpath_axes::bulk;
 use xpath_axes::cost::CostModel;
-use xpath_core::corexpath::{compile, AxisBackend, CoreXPathEvaluator};
+use xpath_core::corexpath::{compile, CoreXPathEvaluator};
 use xpath_core::Compiler;
 use xpath_syntax::Axis;
 use xpath_xml::generate::doc_balanced;
@@ -124,10 +122,10 @@ fn time_ns(mut f: impl FnMut()) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// The seven whole-query shapes benchmarked below (and mirrored by
-/// `tests/backend_differential.rs`). The last is provably empty: it
-/// measures the analyzer's constant-empty short-circuit against backends
-/// that evaluate it for real.
+/// The seven whole-query shapes behind the sharding-equivalence and
+/// snapshot guards (mirrored by `tests/backend_differential.rs` and
+/// `queries/bench_axes.txt`). The last is provably empty, so the
+/// analyzer's constant-empty short-circuit rides the same corpus.
 const BENCH_QUERIES: &[&str] = &[
     "//a//c",
     "//a//b//c//d",
@@ -397,7 +395,7 @@ fn measure_batch(doc: &Document, workload: &'static str, texts: &[String]) -> Ba
 const CHECK_ATTEMPTS: u32 = 3;
 
 fn check(doc: &Document) -> Result<(), String> {
-    // The parallel backend is correctness-checked, never timed: the
+    // Sharded evaluation is correctness-checked, never timed: the
     // timing cells below all run serial engines (a 1-thread baseline), so
     // the guard's ratios cannot flake with the runner's core count.
     let parallel_failures = check_parallel_equivalence(doc);
@@ -576,21 +574,21 @@ fn check(doc: &Document) -> Result<(), String> {
     Err(last_failures)
 }
 
-/// Deterministic (untimed) guard: the parallel backend at a forced
-/// always-shard model must be bit-identical to Adaptive on the seven bench
-/// queries — sharding may only change the route, never the answer.
+/// Deterministic (untimed) guard: a 4-thread budget under a forced
+/// always-shard model must be bit-identical to the serial path on the
+/// seven bench queries — sharding may only change the route, never the
+/// answer.
 fn check_parallel_equivalence(doc: &Document) -> Vec<String> {
     let always_shard = CostModel { spawn_ns: 1e-9, merge_word_ns: 1e-9, ..*CostModel::global() };
-    let adaptive = CoreXPathEvaluator::with_backend(doc, AxisBackend::Adaptive);
-    let parallel = CoreXPathEvaluator::with_backend(doc, AxisBackend::Parallel(4))
-        .with_cost_model(always_shard);
+    let adaptive = CoreXPathEvaluator::new(doc);
+    let parallel = CoreXPathEvaluator::new(doc).with_threads(4).with_cost_model(always_shard);
     let mut failures = Vec::new();
     for q in BENCH_QUERIES {
         let c = compile(&xpath_syntax::parse_normalized(q).unwrap()).unwrap();
         let want = adaptive.evaluate(&c, &[doc.root()]);
         let got = parallel.evaluate(&c, &[doc.root()]);
         if got != want {
-            failures.push(format!("{q}: Parallel(4) diverges from Adaptive"));
+            failures.push(format!("{q}: 4-thread budget diverges from the serial path"));
         }
     }
     let sharded = parallel.kernel_counts();
@@ -706,8 +704,8 @@ fn measure_snapshot(big: &Document) -> SnapshotCell {
         let parsed = Document::parse_str(&xml).expect("reparse of serialized bench doc");
         let loaded = snap::load(&path).expect("snapshot load");
         let c = compile(&xpath_syntax::parse_normalized(BENCH_QUERIES[0]).unwrap()).unwrap();
-        let ev_parsed = CoreXPathEvaluator::with_backend(&parsed, AxisBackend::Adaptive);
-        let ev_loaded = CoreXPathEvaluator::with_backend(&loaded, AxisBackend::Adaptive);
+        let ev_parsed = CoreXPathEvaluator::new(&parsed);
+        let ev_loaded = CoreXPathEvaluator::new(&loaded);
         assert_eq!(
             ev_parsed.evaluate(&c, &[parsed.root()]),
             ev_loaded.evaluate(&c, &[loaded.root()]),
@@ -1006,42 +1004,6 @@ fn main() {
                 t_vec as f64 / t_bits.max(1) as f64,
             );
         }
-    }
-    json.push_str("\n  ],\n");
-
-    // ---- whole-query backends: descendant/following-heavy Core XPath ----
-    json.push_str("  \"queries\": [\n");
-    let direct = CoreXPathEvaluator::with_backend(&doc, AxisBackend::Direct);
-    let bulk_ev = CoreXPathEvaluator::with_backend(&doc, AxisBackend::Bulk);
-    let adaptive_ev = CoreXPathEvaluator::with_backend(&doc, AxisBackend::Adaptive);
-    let mut first = true;
-    for &q in BENCH_QUERIES {
-        let e = xpath_syntax::parse_normalized(q).unwrap();
-        let c = compile(&e).unwrap();
-        let root = [doc.root()];
-        assert_eq!(direct.evaluate(&c, &root), bulk_ev.evaluate(&c, &root), "{q}");
-        assert_eq!(direct.evaluate(&c, &root), adaptive_ev.evaluate(&c, &root), "{q}");
-        let t_direct = time_ns(|| {
-            std::hint::black_box(direct.evaluate(&c, &root));
-        });
-        let t_bulk = time_ns(|| {
-            std::hint::black_box(bulk_ev.evaluate(&c, &root));
-        });
-        let t_adaptive = time_ns(|| {
-            std::hint::black_box(adaptive_ev.evaluate(&c, &root));
-        });
-        if !first {
-            json.push_str(",\n");
-        }
-        first = false;
-        let _ = write!(
-            json,
-            "    {{ \"query\": \"{}\", \"per_node_direct_ns\": {t_direct}, \
-             \"bulk_ns\": {t_bulk}, \"adaptive_ns\": {t_adaptive}, \
-             \"speedup_adaptive\": {:.2} }}",
-            q.replace('"', "'"),
-            t_direct as f64 / t_adaptive.max(1) as f64,
-        );
     }
     json.push_str("\n  ],\n");
 

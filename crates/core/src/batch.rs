@@ -84,7 +84,7 @@ use xpath_xml::rng::splitmix64;
 use xpath_xml::Document;
 
 use crate::context::{Context, EvalBudget, EvalResult};
-use crate::corexpath::{AxisBackend, CorePred, CoreQuery, CoreXPathEvaluator, EqTest};
+use crate::corexpath::{CorePred, CoreQuery, CoreXPathEvaluator, EqTest};
 use crate::nodeset::NodeSet;
 use crate::plan::Strategy;
 use crate::query::{CompiledQuery, Compiler};
@@ -630,7 +630,8 @@ impl QuerySet {
         };
         scratch.memo.begin_evaluation();
         let memo = Arc::clone(&scratch.memo);
-        let ev = CoreXPathEvaluator::with_backend(doc, AxisBackend::Parallel(self.threads))
+        let ev = CoreXPathEvaluator::new(doc)
+            .with_threads(self.threads)
             .with_cost_model(self.cost)
             .with_memo(Arc::clone(&memo));
         let ctx_nodes = [ctx.node];

@@ -217,38 +217,27 @@ fn compile_pred(e: &Expr, dialect: CoreDialect) -> EvalResult<CorePred> {
     }
 }
 
-/// Which axis-evaluation technique drives the forward steps. §3: "the
-/// actual techniques for evaluating axes in our efficient XPath processing
-/// algorithms will be interchangeable" — all three produce identical
-/// results (property-tested in `xpath-axes`) within the same `O(|D|)`
-/// per-step bound.
+/// Which axis-evaluation technique drives the steps. §3: "the actual
+/// techniques for evaluating axes in our efficient XPath processing
+/// algorithms will be interchangeable" — production runs the adaptive
+/// planner; Algorithm 3.2 is kept as the paper-faithful oracle the
+/// differential suites compare it against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum AxisBackend {
     /// Cost-based adaptive planner ([`xpath_axes::cost`]): per axis
     /// application, run the cheapest of the per-node loop, the sparse
     /// staircase and the dense word-parallel kernel, picked from input
-    /// density × axis shape × document size — the default.
+    /// density × axis shape × document size — the default. With a thread
+    /// budget above 1 ([`CoreXPathEvaluator::with_threads`]) every
+    /// `S→`/`S←` pass may additionally split its input over contiguous
+    /// node-id ranges on a scoped thread pool ([`crate::parallel`]),
+    /// gated per pass by the cost model's spawn constants; a refused pass
+    /// runs the serial planner unchanged.
     #[default]
     Adaptive,
-    /// Set-at-a-time staircase/word-parallel axes over the
-    /// structure-of-arrays index and the hybrid [`NodeSet`]
-    /// (`xpath_axes::bulk`), always materializing dense-first.
-    Bulk,
-    /// Direct per-node set algorithms over the preorder/subtree-interval
-    /// encoding.
-    Direct,
     /// Algorithm 3.2: the Table I regular expressions over the primitive
     /// relations (the paper's reference formulation).
     Alg32,
-    /// Pre/post-plane windows (Grust et al. 2004), built on first use.
-    Plane,
-    /// Sharded parallel evaluation ([`crate::parallel`]): every `S→`/`S←`
-    /// axis pass may split its input over contiguous node-id ranges run
-    /// on a scoped thread pool, gated per pass by the cost model's spawn
-    /// constants; refused passes run the exact Adaptive path. The payload
-    /// is the shard budget (`0` = auto: `GKP_THREADS` or the machine's
-    /// parallelism; `1` behaves bit-for-bit like [`AxisBackend::Adaptive`]).
-    Parallel(u32),
 }
 
 /// The linear-time evaluator for compiled queries (Theorems 10.5 / 10.8).
@@ -256,15 +245,14 @@ pub struct CoreXPathEvaluator<'d> {
     doc: &'d Document,
     all: NodeSet,
     backend: AxisBackend,
-    /// Resolved shard budget for [`AxisBackend::Parallel`] (1 elsewhere).
+    /// Resolved shard budget for the adaptive passes (1 = every pass
+    /// serial).
     threads: usize,
     /// Cost model driving [`AxisBackend::Adaptive`] kernel picks and the
-    /// [`AxisBackend::Parallel`] spawn gate.
+    /// per-pass spawn gate.
     cost: xpath_axes::CostModel,
     /// Tally of adaptive kernel decisions made during evaluations.
     kernels: xpath_axes::KernelCounters,
-    /// Lazily-built pre/post plane for [`AxisBackend::Plane`].
-    plane: std::sync::OnceLock<xpath_axes::PrePostPlane>,
     /// Optional name index accelerating `T(t)` lookups in `S←`.
     index: Option<xpath_xml::index::NameIndex>,
     /// Optional shared axis-result memo for batched evaluation
@@ -285,21 +273,27 @@ impl<'d> CoreXPathEvaluator<'d> {
     /// Create an evaluator with an explicit axis backend (§3
     /// interchangeability; see [`AxisBackend`]).
     pub fn with_backend(doc: &'d Document, backend: AxisBackend) -> Self {
-        let threads = match backend {
-            AxisBackend::Parallel(t) => crate::parallel::resolve_threads(t),
-            _ => 1,
-        };
         CoreXPathEvaluator {
             doc,
             all: NodeSet::full(doc.len() as u32),
             backend,
-            threads,
+            threads: 1,
             cost: *xpath_axes::CostModel::global(),
             kernels: xpath_axes::KernelCounters::new(),
-            plane: std::sync::OnceLock::new(),
             index: None,
             memo: None,
         }
+    }
+
+    /// Set the shard budget of the adaptive axis passes
+    /// ([`crate::parallel`]): `0` resolves the process default
+    /// (`GKP_THREADS` / the machine's parallelism), `1` (the default)
+    /// keeps every pass serial. Sharding stays cost-gated per pass, and a
+    /// refused pass runs exactly the serial planner. Ignored by
+    /// [`AxisBackend::Alg32`].
+    pub fn with_threads(mut self, threads: u32) -> Self {
+        self.threads = crate::parallel::resolve_threads(threads);
+        self
     }
 
     /// Override the adaptive planner's cost model (tests, calibration).
@@ -320,7 +314,7 @@ impl<'d> CoreXPathEvaluator<'d> {
     }
 
     /// The adaptive kernel decisions recorded so far on this evaluator
-    /// (all zero under the non-adaptive backends).
+    /// (all zero under [`AxisBackend::Alg32`]).
     pub fn kernel_counts(&self) -> xpath_axes::KernelCounts {
         self.kernels.snapshot()
     }
@@ -395,54 +389,11 @@ impl<'d> CoreXPathEvaluator<'d> {
     }
 
     fn axis_forward(&self, axis: Axis, set: &NodeSet) -> NodeSet {
-        match axis {
-            Axis::Id => NodeSet::from_sorted(xpath_axes::id::id_set_ref(self.doc, &set.to_vec())),
-            _ => match self.backend {
-                AxisBackend::Adaptive => {
-                    let (out, kernel) =
-                        xpath_axes::bulk::axis_set_planned(self.doc, axis, set, &self.cost);
-                    self.kernels.record(kernel);
-                    out
-                }
-                AxisBackend::Parallel(_) => crate::parallel::axis_set_sharded(
-                    self.doc,
-                    axis,
-                    set,
-                    self.threads,
-                    &self.cost,
-                    Some(&self.kernels),
-                ),
-                AxisBackend::Bulk => xpath_axes::bulk::axis_set(self.doc, axis, set),
-                AxisBackend::Direct => {
-                    NodeSet::from_sorted(xpath_axes::eval_axis(self.doc, axis, &set.to_vec()))
-                }
-                AxisBackend::Alg32 => {
-                    NodeSet::from_sorted(xpath_axes::eval_axis_alg32(self.doc, axis, &set.to_vec()))
-                }
-                AxisBackend::Plane => {
-                    NodeSet::from_sorted(
-                        self.plane
-                            .get_or_init(|| xpath_axes::PrePostPlane::new(self.doc))
-                            .eval_axis(self.doc, axis, &set.to_vec()),
-                    )
-                }
-            },
-        }
-    }
-
-    /// Backward steps (`S←`, §10.1) go through the inverse-axis functions:
-    /// Lemma 10.1 reduces `χ⁻¹` to the forward axes, so backend
-    /// interchangeability is already exercised above. The bulk backend has
-    /// its own set-at-a-time inverse; the others share the per-node one.
-    fn axis_backward(&self, axis: Axis, set: &NodeSet) -> NodeSet {
-        match self.backend {
-            AxisBackend::Adaptive => {
-                let (out, kernel) =
-                    xpath_axes::bulk::inverse_axis_set_planned(self.doc, axis, set, &self.cost);
-                self.kernels.record(kernel);
-                out
+        match (axis, self.backend) {
+            (Axis::Id, _) => {
+                NodeSet::from_sorted(xpath_axes::id::id_set_ref(self.doc, &set.to_vec()))
             }
-            AxisBackend::Parallel(_) => crate::parallel::inverse_axis_set_sharded(
+            (_, AxisBackend::Adaptive) => crate::parallel::axis_set_sharded(
                 self.doc,
                 axis,
                 set,
@@ -450,8 +401,29 @@ impl<'d> CoreXPathEvaluator<'d> {
                 &self.cost,
                 Some(&self.kernels),
             ),
-            AxisBackend::Bulk => xpath_axes::bulk::inverse_axis_set(self.doc, axis, set),
-            _ => NodeSet::from_sorted(xpath_axes::inverse_axis_set(self.doc, axis, &set.to_vec())),
+            (_, AxisBackend::Alg32) => {
+                NodeSet::from_sorted(xpath_axes::eval_axis_alg32(self.doc, axis, &set.to_vec()))
+            }
+        }
+    }
+
+    /// Backward steps (`S←`, §10.1) go through the inverse-axis functions:
+    /// Lemma 10.1 reduces `χ⁻¹` to the forward axes. The adaptive backend
+    /// plans its set-at-a-time inverse like a forward pass; the oracle
+    /// uses the per-node one.
+    fn axis_backward(&self, axis: Axis, set: &NodeSet) -> NodeSet {
+        match self.backend {
+            AxisBackend::Adaptive => crate::parallel::inverse_axis_set_sharded(
+                self.doc,
+                axis,
+                set,
+                self.threads,
+                &self.cost,
+                Some(&self.kernels),
+            ),
+            AxisBackend::Alg32 => {
+                NodeSet::from_sorted(xpath_axes::inverse_axis_set(self.doc, axis, &set.to_vec()))
+            }
         }
     }
 
@@ -887,8 +859,9 @@ mod tests {
 
     #[test]
     fn axis_backends_agree() {
-        // §3 interchangeability at the evaluator level: all three backends
-        // produce identical results on a mixed corpus.
+        // §3 interchangeability at the evaluator level: the adaptive
+        // engine, serial and sharded, matches the Algorithm 3.2 oracle on
+        // a mixed corpus.
         let docs = [doc_flat(5), doc_figure8(), doc_bookstore()];
         let queries = [
             "//a/b",
@@ -899,19 +872,13 @@ mod tests {
             "//*[attribute::id]",
         ];
         for d in &docs {
-            let direct = CoreXPathEvaluator::with_backend(d, AxisBackend::Direct);
             let alg32 = CoreXPathEvaluator::with_backend(d, AxisBackend::Alg32);
-            let plane = CoreXPathEvaluator::with_backend(d, AxisBackend::Plane);
-            let bulk = CoreXPathEvaluator::with_backend(d, AxisBackend::Bulk);
             let adaptive = CoreXPathEvaluator::new(d);
-            let parallel = CoreXPathEvaluator::with_backend(d, AxisBackend::Parallel(4));
+            let parallel = CoreXPathEvaluator::new(d).with_threads(4);
             for q in queries {
                 let e = parse_normalized(q).unwrap();
                 let c = compile(&e).unwrap();
-                let want = direct.evaluate(&c, &[d.root()]);
-                assert_eq!(alg32.evaluate(&c, &[d.root()]), want, "alg32 {q}");
-                assert_eq!(plane.evaluate(&c, &[d.root()]), want, "plane {q}");
-                assert_eq!(bulk.evaluate(&c, &[d.root()]), want, "bulk {q}");
+                let want = alg32.evaluate(&c, &[d.root()]);
                 assert_eq!(adaptive.evaluate(&c, &[d.root()]), want, "adaptive {q}");
                 assert_eq!(parallel.evaluate(&c, &[d.root()]), want, "parallel {q}");
             }
@@ -919,11 +886,12 @@ mod tests {
                 adaptive.kernel_counts().total() > 0,
                 "the adaptive backend records its kernel decisions"
             );
+            assert_eq!(alg32.kernel_counts().total(), 0, "the oracle records no kernel picks");
         }
     }
 
     #[test]
-    fn parallel_backend_shards_and_matches_adaptive() {
+    fn thread_budget_shards_and_matches_serial() {
         use xpath_axes::CostModel;
         // Spawn/merge-free model: the gate approves the full budget, so
         // every pass actually shards even on this small document.
@@ -934,8 +902,7 @@ mod tests {
         let queries =
             ["//a/b", "//b[child::c]", "//d/ancestor::b", "//c/following::d", "//book[author]"];
         for shards in [1u32, 2, 8] {
-            let ev = CoreXPathEvaluator::with_backend(&d, AxisBackend::Parallel(shards))
-                .with_cost_model(always_shard);
+            let ev = CoreXPathEvaluator::new(&d).with_threads(shards).with_cost_model(always_shard);
             for q in queries {
                 let c = compile(&parse_normalized(q).unwrap()).unwrap();
                 assert_eq!(
@@ -953,8 +920,8 @@ mod tests {
             }
         }
         // Under the calibrated model the gate refuses on a tiny document:
-        // Parallel degrades to the exact Adaptive path.
-        let gated = CoreXPathEvaluator::with_backend(&d, AxisBackend::Parallel(8));
+        // an 8-thread budget degrades to the exact serial path.
+        let gated = CoreXPathEvaluator::new(&d).with_threads(8);
         let c = compile(&parse_normalized("//book[author]").unwrap()).unwrap();
         gated.evaluate(&c, &[d.root()]);
         assert_eq!(gated.kernel_counts().sharded_passes, 0);
@@ -970,7 +937,7 @@ mod tests {
         let d = doc_bookstore();
         let queries =
             ["//a/b", "//b[child::c]", "//d/ancestor::b", "//c/following::d", "//book[author]"];
-        let reference = CoreXPathEvaluator::with_backend(&d, AxisBackend::Direct);
+        let reference = CoreXPathEvaluator::with_backend(&d, AxisBackend::Alg32);
         for model in [sparse, dense] {
             let ev = CoreXPathEvaluator::new(&d).with_cost_model(model);
             for q in queries {

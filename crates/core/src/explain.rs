@@ -117,9 +117,7 @@ pub fn explain(e: &Expr, doc_size: usize) -> Explanation {
         // Lazy cursor verdict: can exists/first/take(k) early-exit on the
         // block-synchronous pipeline, and would the cost model pick it at
         // this |D| for a full drain?
-        let streamable_spine =
-            q.path.eq.is_none() && q.path.steps.iter().all(|s| xpath_axes::is_streamable(s.axis));
-        if streamable_spine {
+        if crate::cursor::QueryCursor::spine_is_streamable(&q.path) {
             let _ = writeln!(
                 report,
                 "lazy:      spine streams (forward axes, preorder-monotone) — \

@@ -78,10 +78,7 @@ impl<'d> OptMinContextEvaluator<'d> {
         // Corollary 11.5: whole-query Core XPath fast path.
         if let Ok(cq) = corexpath::compile(query) {
             report.used_core_xpath = true;
-            let ev = CoreXPathEvaluator::with_backend(
-                self.doc,
-                corexpath::AxisBackend::Parallel(self.threads),
-            );
+            let ev = CoreXPathEvaluator::new(self.doc).with_threads(self.threads);
             let out = ev.try_evaluate(&cq, &[ctx.node], &self.eval_budget)?;
             return Ok((Value::NodeSet(out), report));
         }

@@ -50,9 +50,10 @@
 //!   extra shard pays its own dense materialization and merge.
 //!
 //! A refused pass runs serially on the caller's thread through exactly
-//! the code the Adaptive backend runs, so a 1-shard configuration is the
-//! Adaptive engine, bit for bit and (within noise) nanosecond for
-//! nanosecond.
+//! [`bulk::axis_set_planned`], so a 1-shard budget is the serial adaptive
+//! engine, bit for bit and (within noise) nanosecond for nanosecond.
+//! The thread budget is a setting of the one adaptive axis path
+//! ([`CoreXPathEvaluator::with_threads`](crate::corexpath::CoreXPathEvaluator::with_threads)).
 //!
 //! The thread budget resolves as: explicit request (e.g. `xpq
 //! --threads N`, [`crate::query::Compiler::threads`]) > the

@@ -409,10 +409,7 @@ fn run(
             .evaluate(expr, ctx),
         Strategy::CoreXPath | Strategy::XPatterns => {
             let q = algebra.expect("fragment dispatch requires a compiled algebra program");
-            let ev = CoreXPathEvaluator::with_backend(
-                doc,
-                crate::corexpath::AxisBackend::Parallel(threads),
-            );
+            let ev = CoreXPathEvaluator::new(doc).with_threads(threads);
             let out = ev.try_evaluate(q, &[ctx.node], budget)?;
             if let Some(counters) = kernels {
                 counters.merge(ev.kernel_counts());

@@ -1463,8 +1463,12 @@ mod tests {
     use super::*;
     use xpath_xml::generate::doc_bookstore;
 
+    /// A fresh temp directory path: unique per call (pid plus a
+    /// counter), so tests running in parallel never share files.
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gkp_serve_{tag}_{}", std::process::id()));
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("gkp_serve_{tag}_{}_{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -322,10 +322,15 @@ fn validate_name(name: &str) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use xpath_xml::generate::{doc_bookstore, doc_figure8};
 
+    /// A fresh temp directory path: unique per call (pid plus a
+    /// counter), so tests running in parallel never share files.
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("gkp_store_{tag}_{}", std::process::id()));
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("gkp_store_{tag}_{}_{n}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }

@@ -413,6 +413,15 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A fresh temp path: unique per call (pid plus a counter), so tests
+    /// running in parallel never share files.
+    fn tmp(name: &str) -> std::path::PathBuf {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("gkp_bytes_test_{}_{n}_{name}", std::process::id()))
+    }
 
     #[test]
     fn owned_region_roundtrip() {
@@ -450,7 +459,7 @@ mod tests {
 
     #[test]
     fn map_file_reads_back_contents() {
-        let path = std::env::temp_dir().join(format!("gkp_bytes_test_{}.bin", std::process::id()));
+        let path = tmp("map.bin");
         let payload: Vec<u8> = (0..=255).collect();
         std::fs::write(&path, &payload).unwrap();
         let (region, _mapped) = ByteRegion::map_file(&path).unwrap();

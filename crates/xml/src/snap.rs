@@ -829,9 +829,14 @@ fn deep_verify_semantics(doc: &Document, h: &Header) -> Result<(), SnapError> {
 mod tests {
     use super::*;
     use crate::generate::{doc_bookstore, doc_figure8};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A fresh temp path: unique per call (pid plus a counter), so tests
+    /// running in parallel never share files.
     fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("gkp_snap_unit_{}_{name}", std::process::id()))
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        std::env::temp_dir().join(format!("gkp_snap_unit_{}_{n}_{name}", std::process::id()))
     }
 
     #[test]

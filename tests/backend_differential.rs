@@ -1,12 +1,11 @@
-//! Axis-backend differential suite: the Bulk, Direct, Alg32 (per-node
-//! reference), Adaptive and sharded Parallel backends (1, 2 and 8
-//! shards) must return identical node-sets — same content **and** same
-//! document order — on the six BENCH_axes query shapes and on random
-//! documents, from root and non-root contexts alike. §3's
-//! interchangeability claim, enforced at the evaluator level for the
-//! cost-based planner and the parallel CVT layer (which additionally
-//! runs under a forced always-shard cost model so every pass really
-//! crosses the scoped thread pool).
+//! Axis-backend differential suite: the adaptive engine at thread
+//! budgets 1, 2 and 8 must return the same node-sets as the Algorithm 3.2
+//! reference — same content **and** same document order — on the
+//! BENCH_axes query shapes and on random documents, from root and
+//! non-root contexts alike. §3's interchangeability claim, enforced at
+//! the evaluator level for the cost-based planner and the parallel CVT
+//! layer (which additionally runs under a forced always-shard cost model
+//! so every pass really crosses the scoped thread pool).
 
 use gkp_xpath::axes::CostModel;
 use gkp_xpath::core::corexpath::{compile, AxisBackend, CoreXPathEvaluator};
@@ -28,18 +27,11 @@ const BENCH_QUERIES: &[&str] = &[
     "//text()/child::*",
 ];
 
-const BACKENDS: &[(&str, AxisBackend)] = &[
-    ("direct", AxisBackend::Direct),
-    ("alg32", AxisBackend::Alg32),
-    ("bulk", AxisBackend::Bulk),
-    ("adaptive", AxisBackend::Adaptive),
-    ("parallel-1", AxisBackend::Parallel(1)),
-    ("parallel-2", AxisBackend::Parallel(2)),
-    ("parallel-8", AxisBackend::Parallel(8)),
-];
+/// Thread budgets the adaptive engine runs under (1 = the serial path).
+const THREAD_BUDGETS: &[u32] = &[1, 2, 8];
 
 fn assert_backends_agree(doc: &Document, queries: &[&str], label: &str) {
-    let reference = CoreXPathEvaluator::with_backend(doc, AxisBackend::Direct);
+    let reference = CoreXPathEvaluator::with_backend(doc, AxisBackend::Alg32);
     // Adaptive additionally runs under models forced to each extreme so
     // both the sparse and the dense kernel routes are differentially
     // covered regardless of the calibrated crossovers.
@@ -50,15 +42,16 @@ fn assert_backends_agree(doc: &Document, queries: &[&str], label: &str) {
         chain_ns: 1e9,
         ..CostModel::CALIBRATED
     });
-    // The parallel backend additionally runs under a forced always-shard
+    // The sharded passes additionally run under a forced always-shard
     // model (spawn and merge free): on these small documents the
     // calibrated gate would refuse every spawn, so this is what actually
     // drives each pass across the scoped pool and through the
     // range-split / word-parallel-merge path.
-    let forced_shard =
-        CoreXPathEvaluator::with_backend(doc, AxisBackend::Parallel(8)).with_cost_model(
-            CostModel { spawn_ns: 1e-9, merge_word_ns: 1e-9, ..CostModel::CALIBRATED },
-        );
+    let forced_shard = CoreXPathEvaluator::new(doc).with_threads(8).with_cost_model(CostModel {
+        spawn_ns: 1e-9,
+        merge_word_ns: 1e-9,
+        ..CostModel::CALIBRATED
+    });
     let contexts = [doc.root(), doc.document_element().unwrap_or(doc.root())];
     for q in queries {
         let e = parse_normalized(q).unwrap_or_else(|err| panic!("{q}: {err}"));
@@ -70,13 +63,13 @@ fn assert_backends_agree(doc: &Document, queries: &[&str], label: &str) {
                 want_ids.windows(2).all(|w| w[0] < w[1]),
                 "{label}: reference out of document order for {q}"
             );
-            for (name, backend) in BACKENDS {
-                let ev = CoreXPathEvaluator::with_backend(doc, *backend);
+            for &threads in THREAD_BUDGETS {
+                let ev = CoreXPathEvaluator::new(doc).with_threads(threads);
                 let got = ev.evaluate(&c, &[ctx]);
                 assert_eq!(
                     got.to_vec(),
                     want_ids,
-                    "{label}: backend {name} diverges on {q} from {ctx:?}"
+                    "{label}: adaptive at {threads} thread(s) diverges on {q} from {ctx:?}"
                 );
             }
             for (name, ev) in [
@@ -106,7 +99,7 @@ fn assert_backends_agree(doc: &Document, queries: &[&str], label: &str) {
 #[test]
 fn backends_agree_on_bench_query_shapes() {
     // The same document family the benchmark runs on, scaled down enough
-    // to keep the per-node reference fast.
+    // to keep the Algorithm 3.2 reference fast.
     let doc = doc_balanced(4, 5, &["a", "b", "c", "d"]);
     assert_backends_agree(&doc, BENCH_QUERIES, "balanced");
     assert_backends_agree(&doc_bookstore(), BENCH_QUERIES, "bookstore");

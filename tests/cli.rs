@@ -3,6 +3,7 @@
 
 use std::io::Write;
 use std::process::{Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const XML: &str = r#"<library><book year="1994"><title>Foundations</title></book><book year="2002"><title>XPath</title></book></library>"#;
 
@@ -294,9 +295,17 @@ fn batch_verbose_reports_mode_and_memo_hits() {
     assert!(stderr.contains("batch: mode="), "{stderr}");
 }
 
+/// A fresh temp directory path: unique per call (pid plus a counter), so
+/// tests running in parallel never share or delete each other's files.
+fn temp_dir(tag: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("xpq-{tag}-{}-{n}", std::process::id()))
+}
+
 #[test]
 fn query_file_feeds_the_batch() {
-    let dir = std::env::temp_dir().join(format!("xpq-batch-{}", std::process::id()));
+    let dir = temp_dir("batch");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("queries.txt");
     std::fs::write(&path, "# a comment\n//title\n\ncount(//book)\n").unwrap();

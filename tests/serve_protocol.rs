@@ -6,6 +6,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -13,8 +14,12 @@ use std::time::{Duration, Instant};
 use gkp_xpath::core::serve::{Json, ServeConfig, Server};
 use gkp_xpath::xml::generate::doc_balanced;
 
+/// A fresh temp directory path: unique per call (pid plus a counter), so
+/// tests running in parallel never share or delete each other's files.
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gkp_serveit_{tag}_{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("gkp_serveit_{tag}_{}_{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -7,6 +7,7 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gkp_xpath::xml::generate::doc_bookstore;
 use gkp_xpath::xml::snap::{self, SnapError, FORMAT_VERSION};
@@ -28,8 +29,13 @@ fn pristine() -> Vec<u8> {
     bytes
 }
 
+/// A fresh temp snapshot path: unique per call (pid plus a counter), so
+/// tests running in parallel never write, read or delete each other's
+/// files.
 fn temp(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("gkp_snapcorrupt_{tag}_{}.gksnap", std::process::id()))
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("gkp_snapcorrupt_{tag}_{}_{n}.gksnap", std::process::id()))
 }
 
 /// Write `bytes` to a temp snapshot, quick-open it, clean up, and return
@@ -214,7 +220,7 @@ fn xpq_rejects_corrupt_snapshots() {
 fn xpq_snapshot_output_matches_parse_path() {
     let xpq = env!("CARGO_BIN_EXE_xpq");
     let doc = doc_bookstore();
-    let xml_path = std::env::temp_dir().join(format!("gkp_snapcli_{}.xml", std::process::id()));
+    let xml_path = temp("cli_xml").with_extension("xml");
     std::fs::write(&xml_path, doc.serialize(doc.root())).unwrap();
     let snap_path = temp("cli_ok");
 

@@ -7,6 +7,8 @@
 //! (`OpenOptions { mmap: false }`), so the two backings can never
 //! diverge from each other either.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use gkp_xpath::core::{Context, Engine, NodeCursor, Strategy};
 use gkp_xpath::xml::generate::{
     doc_balanced, doc_bookstore, doc_figure8, doc_idref_chain, doc_random, RandomDocConfig,
@@ -74,14 +76,18 @@ fn shapes() -> Vec<(String, Document)> {
     shapes
 }
 
+/// A fresh temp snapshot path: unique per call (pid plus a counter), so
+/// tests running in parallel never share or delete each other's files.
+fn temp(tag: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("gkp_snapdiff_{tag}_{}_{n}.gksnap", std::process::id()))
+}
+
 /// Write `doc` to a fresh snapshot, deep-verify it, and reload it under
 /// `opts`.
 fn roundtrip(doc: &Document, tag: &str, opts: &OpenOptions) -> Document {
-    let path = std::env::temp_dir().join(format!(
-        "gkp_snapdiff_{tag}_{}_{}.gksnap",
-        std::process::id(),
-        opts.mmap
-    ));
+    let path = temp(tag);
     snap::write(doc, &path).unwrap_or_else(|e| panic!("{tag}: write failed: {e}"));
     snap::verify(&path).unwrap_or_else(|e| panic!("{tag}: deep verify failed: {e}"));
     let loaded = snap::load_with(&path, opts).unwrap_or_else(|e| panic!("{tag}: load failed: {e}"));

@@ -55,8 +55,12 @@ fn assert_consistent(doc: &Document) -> u64 {
     g
 }
 
+/// A fresh temp directory path: unique per call (pid plus a counter), so
+/// tests running in parallel never share or delete each other's files.
 fn temp_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("gkp_store_conc_{tag}_{}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("gkp_store_conc_{tag}_{}_{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
