@@ -46,7 +46,10 @@
 //!                    predicate-free streamable spine (the cursor guard),
 //!                    or if an mmap snapshot load is not ≥100× faster
 //!                    than a cold parse / the snapshot file exceeds 2×
-//!                    the in-memory arena size (the snapshot guard).
+//!                    the in-memory arena size (the snapshot guard),
+//!                    or if `count(P)` costs more than 2× `P` for a Core
+//!                    XPath `P` through `CompiledQuery` (the aggregate
+//!                    guard).
 //!                    The timing baseline is pinned to a 1-thread budget —
 //!                    sharded evaluation is correctness-checked here,
 //!                    never timed, so CI core counts can't flake the guard
@@ -551,6 +554,41 @@ fn check(doc: &Document) -> Result<(), String> {
             return Err(failure);
         }
     }
+    // Aggregate guard: `count(P)` is full XPath, so OptMinContext runs it —
+    // and must run `P` on the algebra rather than MinContext's per-node
+    // relation, costing at most 2x `P` itself. Re-measured like the other
+    // timing guards.
+    {
+        let mut count_failure = None;
+        for attempt in 1..=CHECK_ATTEMPTS {
+            count_failure = None;
+            for c in measure_count_cells(doc) {
+                let ratio = c.ratio();
+                let label = format!("count({})", c.path);
+                eprintln!(
+                    "check: {label:<13} {:>9}ns  vs {:<6} {:>9}ns  {ratio:>5.2}x",
+                    c.count_ns, c.path, c.path_ns
+                );
+                if ratio > 2.0 {
+                    count_failure = Some(format!(
+                        "count({}): {}ns vs {}ns for the path itself ({ratio:.2}x > 2x)",
+                        c.path, c.count_ns, c.path_ns
+                    ));
+                }
+            }
+            if count_failure.is_none() {
+                break;
+            }
+            if attempt < CHECK_ATTEMPTS {
+                eprintln!(
+                    "check: aggregate attempt {attempt}/{CHECK_ATTEMPTS} over 2x; re-measuring"
+                );
+            }
+        }
+        if let Some(failure) = count_failure {
+            return Err(failure);
+        }
+    }
     // Serve guard: a single-client socket round trip through the query
     // server must stay within 5x of a direct in-process evaluation (+1ms
     // fixed allowance) — the protocol layer may tax, not dominate. The
@@ -622,6 +660,46 @@ fn check_pass(doc: &Document) -> Vec<String> {
         }
     }
     failures
+}
+
+/// Core XPath paths whose `count(P)` the aggregate guard times against `P`.
+const COUNT_PATHS: &[&str] = &["//d", "//a//c"];
+
+/// One aggregate cell: `count(P)` and `P`, each a 1-thread
+/// `CompiledQuery` on the BENCH document.
+struct CountCell {
+    path: &'static str,
+    path_ns: u64,
+    count_ns: u64,
+}
+
+impl CountCell {
+    fn ratio(&self) -> f64 {
+        self.count_ns as f64 / self.path_ns.max(1) as f64
+    }
+}
+
+fn measure_count_cells(doc: &Document) -> Vec<CountCell> {
+    let compiler = Compiler::new().threads(1);
+    COUNT_PATHS
+        .iter()
+        .map(|&path| {
+            let p = compiler.compile(path).unwrap();
+            let count = compiler.compile(&format!("count({path})")).unwrap();
+            // Answers first: the count must count the path.
+            let n = p.evaluate_root(doc).unwrap().as_node_set().unwrap().len();
+            assert_eq!(count.evaluate_root(doc).unwrap().to_string(), n.to_string(), "{path}");
+            let times = time_ns_interleaved(&mut [
+                &mut || {
+                    std::hint::black_box(p.evaluate_root(doc).unwrap());
+                },
+                &mut || {
+                    std::hint::black_box(count.evaluate_root(doc).unwrap());
+                },
+            ]);
+            CountCell { path, path_ns: times[0], count_ns: times[1] }
+        })
+        .collect()
 }
 
 /// Early-exit workloads on the ≥10⁵-node document: two predicate-free
@@ -877,8 +955,8 @@ fn main() {
             Ok(()) => {
                 eprintln!(
                     "check: adaptive within 10% of per-node and 20% of the best \
-                     backend in every axis-application cell; batch and lazy \
-                     early-exit bars met"
+                     backend in every axis-application cell; batch, lazy \
+                     early-exit and count(P) bars met"
                 );
                 return;
             }

@@ -396,23 +396,7 @@ impl<'d> BottomUpEvaluator<'d> {
                             NodeSet::from_sorted(v)
                         }
                         Some(r) => {
-                            // Pre-size the accumulator: when the summed
-                            // input sizes clear the dense threshold, start
-                            // dense so the unions are word-parallel
-                            // instead of repeated vector merges
-                            // (quadratic on wide step results).
-                            let bound: usize = st[x].iter().map(|&y| r[y.index()].len()).sum();
-                            let mut acc = if bound as u64 * NodeSet::DENSE_DEN
-                                >= n as u64 * NodeSet::DENSE_NUM
-                            {
-                                NodeSet::empty_dense(n as u32)
-                            } else {
-                                NodeSet::new()
-                            };
-                            for &y in &st[x] {
-                                acc.union_with(&r[y.index()]);
-                            }
-                            acc.adapt()
+                            NodeSet::union_all(n as u32, st[x].iter().map(|&y| &r[y.index()]))
                         }
                     })
                     .collect()
@@ -465,13 +449,10 @@ impl<'d> BottomUpEvaluator<'d> {
                         ));
                     };
                     let acc = match &reach {
-                        Some(r) => {
-                            let mut acc = NodeSet::new();
-                            for y in set {
-                                acc.union_with(&r[y.index()]);
-                            }
-                            acc
-                        }
+                        Some(r) => NodeSet::union_all(
+                            self.doc.len() as u32,
+                            set.iter().map(|y| &r[y.index()]),
+                        ),
                         None => set.clone(),
                     };
                     t.insert_key(key, Value::NodeSet(acc));

@@ -209,19 +209,22 @@ impl<'d> MinContextEvaluator<'d> {
             }
             Expr::Filter { primary, predicates } => {
                 self.eval_by_cnode_only(primary, x)?;
+                // A context-independent primary needs one row, not |X|
+                // copies of the same row.
+                let dom = self.domain(rel, x);
                 // Predicates see the nodes of the primary's results.
-                let mut all_targets = NodeSet::new();
-                for n in x {
-                    let v = self.eval_single_context(primary, Context::of(n))?;
-                    if let Some(s) = v.as_node_set() {
-                        all_targets.union_with(s);
-                    }
+                let mut primaries = Vec::with_capacity(dom.len());
+                for n in &dom {
+                    primaries.push(self.eval_single_context(primary, Context::of(n))?);
                 }
+                let all_targets = NodeSet::union_all(
+                    self.doc.len() as u32,
+                    primaries.iter().filter_map(Value::as_node_set),
+                );
                 for pred in predicates {
                     self.eval_by_cnode_only(pred, &all_targets)?;
                 }
-                for n in x {
-                    let v = self.eval_single_context(primary, Context::of(n))?;
+                for (n, v) in dom.iter().zip(primaries) {
                     let Some(set) = v.into_node_set() else {
                         return Err(EvalError::TypeMismatch(
                             "predicates require a node-set primary expression".into(),
@@ -340,38 +343,44 @@ impl<'d> MinContextEvaluator<'d> {
 
     /// Appendix A `eval_inner_locpath`: the relation
     /// `{(x, y) | x ∈ X, y reachable via the path}` as a per-source map.
+    ///
+    /// A context-independent path (`Relev = ∅`: absolute, or headed by a
+    /// context-independent expression) has one source whatever `X` is, so
+    /// the map has a single entry, which the caller's `∅`-keyed table
+    /// stores as its one row.
     fn eval_inner_locpath(
         &self,
         p: &LocationPath,
         x: &NodeSet,
     ) -> EvalResult<Vec<(NodeId, NodeSet)>> {
-        let (starts, shared): (Vec<(NodeId, NodeSet)>, bool) = match &p.start {
-            // expr(N) = /π: all sources map to the root's result.
-            PathStart::Root => (vec![(self.doc.root(), NodeSet::singleton(self.doc.root()))], true),
-            PathStart::ContextNode => {
-                (x.iter().map(|n| (n, NodeSet::singleton(n))).collect(), false)
-            }
+        let starts: Vec<(NodeId, NodeSet)> = match &p.start {
+            // expr(N) = /π: every source maps to the root's result.
+            PathStart::Root => vec![(self.doc.root(), NodeSet::singleton(self.doc.root()))],
+            PathStart::ContextNode => x.iter().map(|n| (n, NodeSet::singleton(n))).collect(),
             PathStart::Expr(head) => {
                 self.eval_by_cnode_only(head, x)?;
-                let mut v = Vec::with_capacity(x.len());
-                for n in x {
+                let sources = if relev(head).has_cn() {
+                    x.clone()
+                } else {
+                    NodeSet::singleton(self.doc.root())
+                };
+                let mut v = Vec::with_capacity(sources.len());
+                for n in &sources {
                     let val = self.eval_single_context(head, Context::of(n))?;
                     let set = val.into_node_set().ok_or_else(|| {
                         EvalError::TypeMismatch("path start must evaluate to a node set".into())
                     })?;
                     v.push((n, set));
                 }
-                (v, false)
+                v
             }
         };
+        let universe = self.doc.len() as u32;
         let mut rel_map = starts;
         for step in &p.steps {
             self.eval_budget.check()?;
             // Frontier: the distinct target nodes.
-            let mut frontier = NodeSet::new();
-            for (_, set) in &rel_map {
-                frontier.union_with(set);
-            }
+            let frontier = NodeSet::union_all(universe, rel_map.iter().map(|(_, set)| set));
             // Expand the step once per distinct frontier node.
             let mut expansion: HashMap<NodeId, NodeSet> = HashMap::new();
             for pred in &step.predicates {
@@ -401,24 +410,15 @@ impl<'d> MinContextEvaluator<'d> {
                 }
                 expansion.insert(src, NodeSet::from_sorted(z));
             }
-            // Compose.
+            // Compose: one accumulate pass per source over the expansions
+            // of its targets.
             rel_map = rel_map
                 .into_iter()
                 .map(|(xsrc, set)| {
-                    let mut acc = NodeSet::new();
-                    for y in &set {
-                        if let Some(t) = expansion.get(&y) {
-                            acc.union_with(t);
-                        }
-                    }
-                    (xsrc, acc)
+                    let parts = set.iter().filter_map(|y| expansion.get(&y));
+                    (xsrc, NodeSet::union_all(universe, parts))
                 })
                 .collect();
-        }
-        if shared {
-            // Absolute path: duplicate the root's result for every source.
-            let result = rel_map.first().map(|(_, s)| s.clone()).unwrap_or_default();
-            return Ok(x.iter().map(|n| (n, result.clone())).collect());
         }
         Ok(rel_map)
     }

@@ -226,8 +226,9 @@ impl Plan {
     }
 
     /// [`Plan::execute`], additionally merging the adaptive axis planner's
-    /// kernel decisions into `kernels` (fragment strategies only; the
-    /// general evaluators record nothing). This is how a
+    /// kernel decisions into `kernels` (the fragment strategies, and
+    /// OptMinContext's algebra routes; the other general evaluators record
+    /// nothing). This is how a
     /// [`CompiledQuery`](crate::query::CompiledQuery) accumulates its
     /// per-query planner statistics across evaluations.
     pub fn execute_recording(
@@ -365,8 +366,9 @@ pub fn execute_adhoc(
 
 /// Shared runtime dispatch. `strategy` is resolved (never `Auto`) and any
 /// fragment artifacts it needs are supplied by the caller. When `kernels`
-/// is given, the fragment engines' adaptive planner decisions are merged
-/// into it after the evaluation. `threads` caps the parallel CVT layer
+/// is given, the adaptive planner decisions of the fragment engines (and
+/// of OptMinContext's algebra routes) are merged into it after the
+/// evaluation. `threads` caps the parallel CVT layer
 /// for the engines that have one (Core XPath / XPatterns axis passes, the
 /// bottom-up row fills); `0` auto-resolves.
 #[allow(clippy::too_many_arguments)]
@@ -403,10 +405,16 @@ fn run(
             .with_threads(threads)
             .with_eval_budget(budget.clone())
             .evaluate(expr, ctx),
-        Strategy::OptMinContext => OptMinContextEvaluator::new(doc)
-            .with_threads(threads)
-            .with_eval_budget(budget.clone())
-            .evaluate(expr, ctx),
+        Strategy::OptMinContext => {
+            let ev = OptMinContextEvaluator::new(doc)
+                .with_threads(threads)
+                .with_eval_budget(budget.clone());
+            let out = ev.evaluate(expr, ctx)?;
+            if let Some(counters) = kernels {
+                counters.merge(ev.kernel_counts());
+            }
+            Ok(out)
+        }
         Strategy::CoreXPath | Strategy::XPatterns => {
             let q = algebra.expect("fragment dispatch requires a compiled algebra program");
             let ev = CoreXPathEvaluator::new(doc).with_threads(threads);

@@ -455,10 +455,22 @@ mod tests {
         let clone = q.clone();
         clone.evaluate_root(&d).unwrap();
         assert_eq!(q.planner_stats().total(), after_one * 2);
-        // Non-fragment strategies record nothing.
+        // OptMinContext records the decisions of its Core XPath sub-paths…
         let scalar = CompiledQuery::compile("count(//book)").unwrap();
         scalar.evaluate_root(&d).unwrap();
-        assert_eq!(scalar.planner_stats().total(), 0);
+        assert!(scalar.planner_stats().total() > 0);
+        // …and nothing when no sub-path runs on the algebra.
+        let positional = CompiledQuery::compile("//book[position() = last()]").unwrap();
+        positional.evaluate_root(&d).unwrap();
+        assert_eq!(positional.planner_stats().total(), 0);
+        // Plain MinContext is the paper's Algorithm 8.5: it never reaches
+        // the algebra, so it records nothing either.
+        let min = Compiler::new()
+            .default_strategy(Strategy::MinContext)
+            .compile("count(//book)")
+            .unwrap();
+        assert_eq!(min.evaluate_root(&d).unwrap(), scalar.evaluate_root(&d).unwrap());
+        assert_eq!(min.planner_stats().total(), 0);
     }
 
     #[test]

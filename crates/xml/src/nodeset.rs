@@ -678,6 +678,39 @@ impl NodeSet {
         }
     }
 
+    /// `⋃ parts` over ids `< universe` in one accumulate pass: every part
+    /// ORed into one dense bitset when their summed size reaches the dense
+    /// threshold, otherwise their ids gathered and sorted once. Folding
+    /// [`NodeSet::union_with`] over the parts instead re-merges the
+    /// growing accumulator once per part, which is quadratic in the
+    /// result size.
+    pub fn union_all<'a>(
+        universe: u32,
+        parts: impl Iterator<Item = &'a NodeSet> + Clone,
+    ) -> NodeSet {
+        let mut nonempty = parts.clone().filter(|s| !s.is_empty());
+        match (nonempty.next(), nonempty.next()) {
+            (None, _) => return NodeSet::new(),
+            (Some(only), None) => return only.clone(),
+            _ => {}
+        }
+        let total: usize = parts.clone().map(NodeSet::len).sum();
+        if total as u64 * NodeSet::DENSE_DEN >= u64::from(universe) * NodeSet::DENSE_NUM {
+            let mut acc = NodeSet::empty_dense(universe);
+            for s in parts {
+                acc.union_with(s);
+            }
+            acc.adapt()
+        } else {
+            let mut ids = pool::take_ids();
+            ids.reserve(total);
+            for s in parts {
+                ids.extend(s.iter());
+            }
+            NodeSet::from_unsorted(ids)
+        }
+    }
+
     /// Merge per-shard results back into one set: the word-parallel union
     /// of all parts, re-adapted once at the end. Parts may overlap (chain
     /// axes from different shards can mark the same ancestors) and may mix
@@ -881,6 +914,7 @@ impl FromIterator<NodeId> for NodeSet {
 }
 
 /// Document-order iterator over a [`NodeSet`].
+#[derive(Clone)]
 pub enum Iter<'a> {
     /// Sparse side: slice iteration.
     Vec(std::slice::Iter<'a, NodeId>),
@@ -950,6 +984,30 @@ mod tests {
             s.insert(NodeId(i));
         }
         s
+    }
+
+    #[test]
+    fn union_all_matches_a_fold_in_both_regimes() {
+        let mut rng = Rng::seed_from_u64(11);
+        for (parts_n, max_len) in [(0, 0), (1, 40), (3, 5), (40, 30), (200, 60)] {
+            let parts: Vec<NodeSet> = (0..parts_n)
+                .map(|i| {
+                    let len = rng.random_range(0..=max_len);
+                    let ids = (0..len).map(|_| NodeId(rng.random_range(0..1000u32))).collect();
+                    let s = NodeSet::from_unsorted(ids);
+                    if i % 3 == 0 {
+                        s.densify(1000)
+                    } else {
+                        s
+                    }
+                })
+                .collect();
+            let mut fold = NodeSet::new();
+            for p in &parts {
+                fold.union_with(p);
+            }
+            assert_eq!(NodeSet::union_all(1000, parts.iter()), fold, "{parts_n} parts");
+        }
     }
 
     #[test]

@@ -16,10 +16,14 @@
 //!   (`xpath_core::parallel`) start with empty shelves and warm up
 //!   independently; the zero-allocation guarantee is therefore a
 //!   per-thread steady-state property.
-//! * **Bounded.** At most [`MAX_POOLED`] buffers per class are kept;
+//! * **Bounded, in count and in bytes.** A class's shelf keeps at most
+//!   [`MAX_POOLED`] buffers and at most [`MAX_POOLED_BYTES`] of backing
+//!   capacity, except that an empty shelf always takes one buffer;
 //!   further returns fall through to the allocator. Capacity is never
 //!   trimmed — a shelf converges to the largest demands seen, which is
-//!   exactly what reset-and-reuse arenas want.
+//!   exactly what reset-and-reuse arenas want — so the byte cap is what
+//!   stops a thread that once juggled dozens of document-sized buffers
+//!   from pinning all of them for its lifetime.
 //! * **Teardown-safe.** Returns during thread destruction (after the
 //!   shelf itself is gone) silently fall back to a plain drop via
 //!   [`std::thread::LocalKey::try_with`].
@@ -39,6 +43,13 @@ use crate::NodeSet;
 /// threads hold only a bounded cache.
 pub const MAX_POOLED: usize = 64;
 
+/// Maximum backing capacity, in bytes, kept per class per thread. A
+/// return that would push the shelf past it is dropped — unless the
+/// shelf is empty, so even one buffer larger than the cap still recycles.
+/// 1 MiB holds a dozen id buffers of a 20k-node document, or a 130k-word
+/// bitset.
+pub const MAX_POOLED_BYTES: usize = 1 << 20;
+
 /// Per-thread recycling counters (see [`stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -49,26 +60,61 @@ pub struct PoolStats {
     pub misses: u64,
     /// Buffers returned to a shelf for reuse.
     pub recycled: u64,
-    /// Buffers dropped because the shelf was full (or had no capacity
-    /// worth keeping).
+    /// Buffers dropped because the shelf was full by count or by bytes.
+    /// (Zero-capacity returns are ignored and counted nowhere.)
     pub discarded: u64,
 }
 
+/// One class's buffers plus the backing bytes they hold.
+struct Shelf<T> {
+    bufs: Vec<Vec<T>>,
+    bytes: usize,
+}
+
+impl<T> Shelf<T> {
+    const fn new() -> Shelf<T> {
+        Shelf { bufs: Vec::new(), bytes: 0 }
+    }
+
+    fn pop(&mut self) -> Option<Vec<T>> {
+        let v = self.bufs.pop()?;
+        self.bytes -= bytes_of(&v);
+        Some(v)
+    }
+
+    /// Shelve `v` if both caps allow it (an empty shelf always does);
+    /// otherwise hand it back to be dropped.
+    fn push(&mut self, v: Vec<T>) -> Result<(), Vec<T>> {
+        let b = bytes_of(&v);
+        let fits = self.bufs.len() < MAX_POOLED && self.bytes + b <= MAX_POOLED_BYTES;
+        if !fits && !self.bufs.is_empty() {
+            return Err(v);
+        }
+        self.bytes += b;
+        self.bufs.push(v);
+        Ok(())
+    }
+}
+
+fn bytes_of<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
+
 struct Shelves {
-    words: Vec<Vec<u64>>,
-    ids: Vec<Vec<NodeId>>,
-    ranges: Vec<Vec<(u32, u32)>>,
-    sets: Vec<Vec<NodeSet>>,
+    words: Shelf<u64>,
+    ids: Shelf<NodeId>,
+    ranges: Shelf<(u32, u32)>,
+    sets: Shelf<NodeSet>,
     stats: PoolStats,
 }
 
 impl Shelves {
     const fn new() -> Shelves {
         Shelves {
-            words: Vec::new(),
-            ids: Vec::new(),
-            ranges: Vec::new(),
-            sets: Vec::new(),
+            words: Shelf::new(),
+            ids: Shelf::new(),
+            ranges: Shelf::new(),
+            sets: Shelf::new(),
             stats: PoolStats { hits: 0, misses: 0, recycled: 0, discarded: 0 },
         }
     }
@@ -113,11 +159,10 @@ macro_rules! pool_class {
             v.clear();
             let _ = SHELVES.try_with(|s| {
                 let mut s = s.borrow_mut();
-                if s.$field.len() < MAX_POOLED {
-                    s.stats.recycled += 1;
-                    s.$field.push(v);
-                } else {
-                    s.stats.discarded += 1;
+                match s.$field.push(v) {
+                    Ok(()) => s.stats.recycled += 1,
+                    // Already cleared, so dropping it re-enters nothing.
+                    Err(_) => s.stats.discarded += 1,
                 }
             });
         }
@@ -150,10 +195,10 @@ pub fn clear() {
         .try_with(|s| {
             let mut s = s.borrow_mut();
             (
-                std::mem::take(&mut s.words),
-                std::mem::take(&mut s.ids),
-                std::mem::take(&mut s.ranges),
-                std::mem::take(&mut s.sets),
+                std::mem::replace(&mut s.words, Shelf::new()).bufs,
+                std::mem::replace(&mut s.ids, Shelf::new()).bufs,
+                std::mem::replace(&mut s.ranges, Shelf::new()).bufs,
+                std::mem::replace(&mut s.sets, Shelf::new()).bufs,
             )
         })
         .unwrap_or_default();
@@ -162,8 +207,8 @@ pub fn clear() {
     let _ = SHELVES.try_with(|s| {
         // …so purge once more, without recursing element drops.
         let mut s = s.borrow_mut();
-        s.words.clear();
-        s.ids.clear();
+        s.words = Shelf::new();
+        s.ids = Shelf::new();
     });
     drop((words, ids, ranges));
 }
@@ -220,6 +265,55 @@ mod tests {
             give_ranges(b);
         }
         assert_eq!(stats().discarded, before + 5, "overflow beyond MAX_POOLED is dropped");
+        clear();
+    }
+
+    #[test]
+    fn shelves_are_bounded_in_bytes() {
+        clear();
+        reset_stats();
+        // MAX_POOLED id buffers the size of a 20k-node document (80 KB
+        // each): the count cap alone would keep them all.
+        let buffers: Vec<Vec<NodeId>> = (0..MAX_POOLED)
+            .map(|_| {
+                let mut v = take_ids();
+                v.resize(20_000, NodeId(0));
+                v
+            })
+            .collect();
+        let one = bytes_of(&buffers[0]);
+        for b in buffers {
+            give_ids(b);
+        }
+        let (shelved, bytes) = SHELVES.with(|s| {
+            let s = s.borrow();
+            (s.ids.bufs.len() as u64, s.ids.bytes)
+        });
+        assert!(bytes <= MAX_POOLED_BYTES + one, "{bytes} bytes shelved");
+        assert_eq!(bytes, SHELVES.with(|s| s.borrow().ids.bufs.iter().map(bytes_of).sum()));
+        let st = stats();
+        assert_eq!(st.recycled, shelved);
+        assert_eq!(st.recycled + st.discarded, MAX_POOLED as u64, "every return counted");
+        assert!(st.discarded > 0, "the byte cap, not the count cap, bounded the shelf");
+        clear();
+    }
+
+    #[test]
+    fn an_empty_shelf_takes_one_oversized_buffer() {
+        clear();
+        reset_stats();
+        let mut big = take_words();
+        big.resize(MAX_POOLED_BYTES / 8 + 1, 0);
+        let mut second = take_words();
+        second.resize(MAX_POOLED_BYTES / 8 + 1, 0);
+        give_words(big);
+        give_words(second);
+        let st = stats();
+        assert_eq!((st.recycled, st.discarded), (1, 1));
+        let v = take_words();
+        assert!(v.capacity() > MAX_POOLED_BYTES / 8, "the oversized buffer was kept");
+        assert_eq!(SHELVES.with(|s| s.borrow().words.bytes), 0);
+        drop(v);
         clear();
     }
 

@@ -94,6 +94,14 @@ const CORPUS: &[&str] = &[
     "//*[position() = last() - 1]",
     "//*[position() mod 2 = 1][position() <= 3]",
     "//b[position() > count(//c) div 2]",
+    // Core XPath sub-paths of full-XPath queries (OptMinContext's algebra
+    // route): under functions, compared, XPatterns, under a predicate.
+    "boolean(//d)",
+    "string(//b)",
+    "sum(//@id)",
+    "count(//a//c) = count(/descendant::a/descendant::c)",
+    "count(id('12 24')/ancestor::*)",
+    "//b[count(//c) > 1]",
 ];
 
 fn check_doc(doc: &Document) {
@@ -199,6 +207,7 @@ fn corpus_from_non_root_contexts() {
         "../*",
         ".//d",
         "self::node()",
+        "count(b/c)",
     ];
     for node in doc.all_nodes() {
         for q in queries {
