@@ -201,26 +201,32 @@ fn axis_set_inner(doc: &Document, axis: Axis, set: &NodeSet, typed: bool) -> Nod
             NodeSet::from_sorted(out)
         }
         Axis::Ancestor | Axis::AncestorOrSelf => {
-            let mut out = NodeSet::empty_dense(n);
+            // Inputs arrive in document order, and every node that is an
+            // ancestor of two inputs is an ancestor of each input between
+            // them. So after input `prev` all of its proper ancestors are
+            // marked, and the walk up from the next input stops at the
+            // first proper ancestor of `prev` (their lowest common
+            // ancestor): each output node is visited once, and the stop
+            // test reads only the structure arrays, never the marks.
+            // Marks go into a raw word buffer (no per-insert universe or
+            // length bookkeeping); the length is one popcount at the end.
+            let mut words = pool::take_words();
+            words.resize(n.div_ceil(64) as usize, 0);
+            let parents = ix.parents();
+            let mut prev: Option<u32> = None;
             for x in set {
-                let mut cur = if axis == Axis::AncestorOrSelf {
-                    if !typed || !ix.is_special(x.0) {
-                        x.0
-                    } else {
-                        ix.parent(x.0)
-                    }
+                let mut cur = if axis == Axis::AncestorOrSelf && !(typed && ix.is_special(x.0)) {
+                    x.0
                 } else {
-                    ix.parent(x.0)
+                    parents[x.0 as usize]
                 };
-                while cur != NONE {
-                    if out.contains(NodeId(cur)) {
-                        break; // everything above is already marked
-                    }
-                    out.insert(NodeId(cur));
-                    cur = ix.parent(cur);
+                while cur != NONE && !prev.is_some_and(|p| cur < p && p < ix.subtree_end(cur)) {
+                    words[(cur / 64) as usize] |= 1u64 << (cur % 64);
+                    cur = parents[cur as usize];
                 }
+                prev = Some(x.0);
             }
-            out.adapt()
+            NodeSet::from_words(words, n).adapt()
         }
         Axis::Descendant | Axis::DescendantOrSelf => {
             // Staircase join over the (sorted) preorder intervals:

@@ -420,10 +420,11 @@ impl CostModel {
 
     // ----- lazy cursor evaluation -----
 
-    /// Ids per window the lazy cursor pipeline (`xpath_core::cursor`)
-    /// processes between budget checks. One window of per-candidate
-    /// filtering is the minimum overhead a lazy evaluation pays before
-    /// its first early exit can fire.
+    /// The widest window of ids the lazy cursor pipeline
+    /// (`xpath_core::cursor`) processes between budget checks; its
+    /// windows start narrower and double up to this. The crossover below
+    /// charges one full window of per-candidate filtering, an upper bound
+    /// on what a lazy evaluation pays before its first early exit fires.
     pub const LAZY_BLOCK: u32 = 4096;
 
     /// Estimated per-candidate cost of the lazy pipeline's block filter:

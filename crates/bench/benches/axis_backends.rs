@@ -1,7 +1,8 @@
 //! Ablation of the axis-evaluation kernels (§3): Algorithm 3.2 (regular
 //! expressions over the primitive relations), the per-node set algorithms
 //! and the set-at-a-time bulk engine over the structure-of-arrays index,
-//! plus the name index behind `T(t)` lookups in backward evaluation.
+//! plus a predicate-heavy query whose backward evaluation reads the
+//! cached type sets `T(t)` at every step.
 
 use std::time::Duration;
 
@@ -47,9 +48,9 @@ fn bench_backends(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_name_index(c: &mut Criterion) {
+fn bench_type_sets(c: &mut Criterion) {
     use xpath_core::corexpath::{compile, CoreXPathEvaluator};
-    let mut g = c.benchmark_group("name_index");
+    let mut g = c.benchmark_group("type_sets");
     g.sample_size(20)
         .warm_up_time(Duration::from_millis(100))
         .measurement_time(Duration::from_millis(500));
@@ -60,17 +61,13 @@ fn bench_name_index(c: &mut Criterion) {
         // Predicate-heavy query: S← touches T(t) at every step.
         let e = xpath_syntax::parse_normalized("//a[b[c] and not(d[a])]").unwrap();
         let q = compile(&e).unwrap();
-        let plain = CoreXPathEvaluator::new(&doc);
-        let indexed = CoreXPathEvaluator::new(&doc).with_name_index();
-        g.bench_with_input(BenchmarkId::new("scan", size), &size, |b, _| {
-            b.iter(|| plain.evaluate(&q, &[doc.root()]));
-        });
-        g.bench_with_input(BenchmarkId::new("indexed", size), &size, |b, _| {
-            b.iter(|| indexed.evaluate(&q, &[doc.root()]));
+        let ev = CoreXPathEvaluator::new(&doc);
+        g.bench_with_input(BenchmarkId::new("cached", size), &size, |b, _| {
+            b.iter(|| ev.evaluate(&q, &[doc.root()]));
         });
     }
     g.finish();
 }
 
-criterion_group!(benches, bench_backends, bench_name_index);
+criterion_group!(benches, bench_backends, bench_type_sets);
 criterion_main!(benches);

@@ -481,9 +481,9 @@ fn check(doc: &Document) -> Result<(), String> {
     let big = doc_balanced(4, 9, &["a", "b", "c", "d"]);
     big.axis_index();
     {
-        let mut cursor_failure = None;
+        let mut cursor_failures = Vec::new();
         for attempt in 1..=CHECK_ATTEMPTS {
-            cursor_failure = None;
+            cursor_failures.clear();
             for c in measure_early_exit(&big) {
                 let speedup = c.speedup_first();
                 let bar = if c.query.contains('[') { 2.0 } else { 10.0 };
@@ -493,13 +493,13 @@ fn check(doc: &Document) -> Result<(), String> {
                     c.query, c.first_ns, c.exists_ns, c.full_ns
                 );
                 if speedup < bar {
-                    cursor_failure = Some(format!(
+                    cursor_failures.push(format!(
                         "early-exit {}: first {}ns vs full {}ns ({speedup:.1}x < {bar}x)",
                         c.query, c.first_ns, c.full_ns
                     ));
                 }
             }
-            if cursor_failure.is_none() {
+            if cursor_failures.is_empty() {
                 break;
             }
             if attempt < CHECK_ATTEMPTS {
@@ -509,8 +509,8 @@ fn check(doc: &Document) -> Result<(), String> {
                 );
             }
         }
-        if let Some(failure) = cursor_failure {
-            return Err(failure);
+        if !cursor_failures.is_empty() {
+            return Err(cursor_failures.join("\n"));
         }
     }
     // Snapshot guard: an mmap load of the ≥1e5-node document must beat a
@@ -559,9 +559,9 @@ fn check(doc: &Document) -> Result<(), String> {
     // relation, costing at most 2x `P` itself. Re-measured like the other
     // timing guards.
     {
-        let mut count_failure = None;
+        let mut count_failures = Vec::new();
         for attempt in 1..=CHECK_ATTEMPTS {
-            count_failure = None;
+            count_failures.clear();
             for c in measure_count_cells(doc) {
                 let ratio = c.ratio();
                 let label = format!("count({})", c.path);
@@ -570,13 +570,13 @@ fn check(doc: &Document) -> Result<(), String> {
                     c.count_ns, c.path, c.path_ns
                 );
                 if ratio > 2.0 {
-                    count_failure = Some(format!(
+                    count_failures.push(format!(
                         "count({}): {}ns vs {}ns for the path itself ({ratio:.2}x > 2x)",
                         c.path, c.count_ns, c.path_ns
                     ));
                 }
             }
-            if count_failure.is_none() {
+            if count_failures.is_empty() {
                 break;
             }
             if attempt < CHECK_ATTEMPTS {
@@ -585,8 +585,8 @@ fn check(doc: &Document) -> Result<(), String> {
                 );
             }
         }
-        if let Some(failure) = count_failure {
-            return Err(failure);
+        if !count_failures.is_empty() {
+            return Err(count_failures.join("\n"));
         }
     }
     // Serve guard: a single-client socket round trip through the query

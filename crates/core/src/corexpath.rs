@@ -22,7 +22,7 @@ use xpath_syntax::{Axis, BinaryOp, Expr, LocationPath, NodeTest, PathStart};
 use xpath_xml::{Document, NodeId};
 
 use crate::context::{EvalBudget, EvalError, EvalResult};
-use crate::node_test;
+use crate::node_test::{self, TypeTest};
 use crate::nodeset::NodeSet;
 use crate::value::str_to_number;
 
@@ -243,7 +243,6 @@ pub enum AxisBackend {
 /// The linear-time evaluator for compiled queries (Theorems 10.5 / 10.8).
 pub struct CoreXPathEvaluator<'d> {
     doc: &'d Document,
-    all: NodeSet,
     backend: AxisBackend,
     /// Resolved shard budget for the adaptive passes (1 = every pass
     /// serial).
@@ -253,8 +252,6 @@ pub struct CoreXPathEvaluator<'d> {
     cost: xpath_axes::CostModel,
     /// Tally of adaptive kernel decisions made during evaluations.
     kernels: xpath_axes::KernelCounters,
-    /// Optional name index accelerating `T(t)` lookups in `S←`.
-    index: Option<xpath_xml::index::NameIndex>,
     /// Optional shared axis-result memo for batched evaluation
     /// ([`crate::batch`]): when present, step expansions, `T(t)` scans,
     /// inverse passes, predicate sets and `=s` scans are served from the
@@ -275,12 +272,10 @@ impl<'d> CoreXPathEvaluator<'d> {
     pub fn with_backend(doc: &'d Document, backend: AxisBackend) -> Self {
         CoreXPathEvaluator {
             doc,
-            all: NodeSet::full(doc.len() as u32),
             backend,
             threads: 1,
             cost: *xpath_axes::CostModel::global(),
             kernels: xpath_axes::KernelCounters::new(),
-            index: None,
             memo: None,
         }
     }
@@ -319,25 +314,22 @@ impl<'d> CoreXPathEvaluator<'d> {
         self.kernels.snapshot()
     }
 
-    /// Build a [`NameIndex`](xpath_xml::index::NameIndex) (one `O(|D|)`
-    /// pass) so every `T(t)` lookup of backward evaluation (`S←`) becomes
-    /// `O(1)` instead of an `O(|D|)` scan. Same results, same asymptotic
-    /// bounds, smaller constants when a query has many predicate steps or
-    /// the evaluator is reused across queries.
-    pub fn with_name_index(mut self) -> Self {
-        self.index = Some(xpath_xml::index::NameIndex::new(self.doc));
-        self
+    /// `dom`: every node of the document (built on demand — most
+    /// evaluations never need it).
+    fn all(&self) -> NodeSet {
+        NodeSet::full(self.doc.len() as u32)
     }
 
-    /// `T(t)` relative to an axis, through the name index when present
-    /// and the batch memo when attached (the scan is document-global, so
-    /// one memo entry serves every query in a batch using the same test).
+    /// `T(t)` relative to an axis: a copy of the document's cached type
+    /// set ([`TypeTest::set`]), or the oracle's per-node scan, through
+    /// the batch memo when attached (the set is document-global, so one
+    /// memo entry serves every query in a batch using the same test).
     fn t_set(&self, axis: Axis, test: &NodeTest) -> NodeSet {
-        let compute = || {
-            NodeSet::from_sorted(match &self.index {
-                Some(ix) => node_test::matching_set_indexed(self.doc, ix, axis, test),
-                None => node_test::matching_set(self.doc, axis, test),
-            })
+        let compute = || match self.backend {
+            AxisBackend::Adaptive => TypeTest::resolve(self.doc, axis, test).set(self.doc),
+            AxisBackend::Alg32 => {
+                NodeSet::from_sorted(node_test::matching_set(self.doc, axis, test))
+            }
         };
         match &self.memo {
             Some(m) => m.t_set(axis, test, &self.kernels, compute),
@@ -517,12 +509,12 @@ impl<'d> CoreXPathEvaluator<'d> {
             }
             acc = Some(self.inverse_expand(step.axis, &base));
         }
-        let acc = acc.unwrap_or_else(|| self.all.clone());
+        let acc = acc.unwrap_or_else(|| self.all());
         Ok(match &p.start {
             CoreStart::Context => acc,
             CoreStart::Root => {
                 if acc.contains(self.doc.root()) {
-                    self.all.clone()
+                    self.all()
                 } else {
                     NodeSet::new()
                 }
@@ -531,7 +523,7 @@ impl<'d> CoreXPathEvaluator<'d> {
                 if acc.intersect(&NodeSet::from_sorted(self.doc.deref_ids(s))).is_empty() {
                     NodeSet::new()
                 } else {
-                    self.all.clone()
+                    self.all()
                 }
             }
         })
@@ -597,10 +589,17 @@ impl<'d> CoreXPathEvaluator<'d> {
     /// pass (equal inputs fingerprint equally, so sharing cascades down
     /// shared prefixes step by step).
     fn expand_axis_test(&self, axis: Axis, test: &NodeTest, n: &NodeSet) -> NodeSet {
-        let compute = || {
-            let mut next = self.axis_forward(axis, n);
-            node_test::filter_set(self.doc, axis, test, &mut next);
-            next
+        let compute = || match self.backend {
+            AxisBackend::Adaptive => {
+                let mut next = self.axis_forward(axis, n);
+                TypeTest::resolve(self.doc, axis, test).filter(self.doc, &mut next);
+                next
+            }
+            AxisBackend::Alg32 => {
+                let mut next = self.axis_forward(axis, n).into_vec();
+                node_test::filter(self.doc, axis, test, &mut next);
+                NodeSet::from_sorted(next)
+            }
         };
         match &self.memo {
             Some(m) => m.step(axis, test, n, &self.kernels, compute),
@@ -644,13 +643,13 @@ impl<'d> CoreXPathEvaluator<'d> {
             }
             acc = Some(self.inverse_expand(step.axis, &base));
         }
-        let acc = acc.unwrap_or_else(|| self.all.clone());
+        let acc = acc.unwrap_or_else(|| self.all());
         match &p.start {
             CoreStart::Context => acc,
             // S←[[/π]] := dom/root(S←[[π]]).
             CoreStart::Root => {
                 if acc.contains(self.doc.root()) {
-                    self.all.clone()
+                    self.all()
                 } else {
                     NodeSet::new()
                 }
@@ -660,7 +659,7 @@ impl<'d> CoreXPathEvaluator<'d> {
                 if acc.intersect(&NodeSet::from_sorted(self.doc.deref_ids(s))).is_empty() {
                     NodeSet::new()
                 } else {
-                    self.all.clone()
+                    self.all()
                 }
             }
         }
@@ -832,8 +831,9 @@ mod tests {
     }
 
     #[test]
-    fn name_index_is_transparent() {
-        // The indexed T(t) lookup changes nothing observable.
+    fn cached_type_sets_are_transparent() {
+        // The set-speed T(t) (a copy of the cached type set) equals the
+        // per-node scan, for every test the corpus uses.
         let docs = [doc_flat(5), doc_figure8(), doc_bookstore()];
         let queries = [
             "//b[child::c]",
@@ -841,18 +841,20 @@ mod tests {
             "//b[following::*[child::d]]",
             "//*[attribute::id]",
             "//section[book[author[last]]]",
+            "//*[child::text() or child::comment()]",
+            "//nope[child::zzz]",
         ];
         for d in &docs {
-            let plain = CoreXPathEvaluator::new(d);
-            let indexed = CoreXPathEvaluator::new(d).with_name_index();
+            let ev = CoreXPathEvaluator::new(d);
+            let oracle = CoreXPathEvaluator::with_backend(d, AxisBackend::Alg32);
             for q in queries {
-                let e = parse_normalized(q).unwrap();
-                let c = compile(&e).unwrap();
-                assert_eq!(
-                    indexed.evaluate(&c, &[d.root()]),
-                    plain.evaluate(&c, &[d.root()]),
-                    "{q}"
-                );
+                let c = compile(&parse_normalized(q).unwrap()).unwrap();
+                assert_eq!(ev.evaluate(&c, &[d.root()]), oracle.evaluate(&c, &[d.root()]), "{q}");
+                assert_eq!(ev.matching_contexts(&c), oracle.matching_contexts(&c), "S← {q}");
+                for step in &c.path.steps {
+                    let want = node_test::matching_set(d, step.axis, &step.test);
+                    assert_eq!(ev.t_set(step.axis, &step.test), want, "T({:?}) in {q}", step.test);
+                }
             }
         }
     }

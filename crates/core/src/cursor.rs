@@ -12,21 +12,31 @@
 //! Every forward axis is *preorder-monotone* (outputs never precede
 //! inputs in document order), so a spine of forward steps evaluates
 //! **block-synchronously** over the id space: the pipeline advances a
-//! window `[lo, hi)` of [`CostModel::LAZY_BLOCK`] ids at a time, feeds
-//! each step's [`StepStreamer`] the upstream nodes accepted inside the
-//! window, and filters that step's own window of raw axis output down to
-//! accepted nodes — node test per candidate, then each predicate by the
-//! witness equivalence `x ∈ S←[[π]] ⇔ S→[[π]]({x}) ≠ ∅` (Definition
-//! 10.2), which short-circuits on the first witness instead of computing
-//! the document-global predicate set. The witness walk runs per
-//! candidate only when its frontier is structurally bounded; a predicate
-//! whose walk could touch Ω(|D|) nodes per candidate (`descendant`,
-//! `following`, the sibling axes, …) instead probes a document-global
-//! `E1` set computed once per cursor, so a window of candidates never
-//! costs more than one set-at-a-time predicate pass. Once every input `< hi` has been
-//! fed, outputs `< hi` are final, so a finished window is emitted and
-//! never revisited — a caller that stops pulling never pays for the
-//! document past its last window.
+//! window `[lo, hi)` at a time — the first 64 ids wide, doubling up to
+//! [`CostModel::LAZY_BLOCK`], so a `first()` that a short prefix answers
+//! does a short prefix of work — feeds each step's [`StepStreamer`] the
+//! upstream nodes accepted inside the window, and filters that step's
+//! own window of raw axis output down to accepted nodes: one bit test
+//! per candidate against the document's cached type set
+//! ([`Document::type_set`]) when that set is a bitset, two array loads
+//! otherwise, then each predicate by the witness
+//! equivalence `x ∈ S←[[π]] ⇔ S→[[π]]({x}) ≠ ∅` (Definition 10.2), which
+//! short-circuits on the first witness instead of computing the
+//! document-global predicate set. The witness walk runs per candidate
+//! only when its frontier is structurally bounded. A single-step
+//! `descendant::t` / `following::t` predicate without nested predicates
+//! is a range probe instead: its frontier from `x` is one id interval,
+//! so the answer is whether the cached `T(t)` has a member in it
+//! ([`NodeSet::any_in`]; for `following`, whose interval runs to the end
+//! of the document, whether the last member of `T(t)` lies past `x`'s
+//! subtree). Any other predicate whose walk could touch
+//! Ω(|D|) nodes per candidate (`descendant`, `following`, the sibling
+//! axes, …) probes a document-global `E1` set computed once per cursor,
+//! so a window of candidates never costs more than one set-at-a-time
+//! predicate pass. Once every input `< hi` has been fed, outputs `< hi`
+//! are final, so a finished window is emitted and never revisited — a
+//! caller that stops pulling never pays for the document past its last
+//! window.
 //!
 //! Spines outside the streamable shape (reverse axes, `parent`, `id`,
 //! trailing `=s` restrictions, non-path queries) fall back to a
@@ -57,11 +67,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use xpath_axes::{CostModel, StepStreamer};
+use xpath_syntax::Axis;
 use xpath_xml::{Document, NodeId};
 
 use crate::context::{Context, EvalBudget, EvalResult};
 use crate::corexpath::{CorePath, CorePred, CoreStart, CoreStep, CoreXPathEvaluator};
-use crate::node_test;
+use crate::node_test::TypeTest;
 use crate::nodeset::NodeSet;
 use crate::plan::Plan;
 
@@ -219,11 +230,17 @@ struct LazyPipeline<'q, 'd> {
     ev: CoreXPathEvaluator<'d>,
     steps: &'q [CoreStep],
     stages: Vec<StepStreamer>,
+    /// Each step's node test, resolved once per cursor, with its cached
+    /// type set when that set is a bitset (candidates are then one bit
+    /// test each; otherwise two array loads).
+    tests: Vec<(TypeTest<'q>, Option<&'d NodeSet>)>,
     /// Sorted start ids; `start_pos` marks the first not yet fed.
     start_ids: Vec<NodeId>,
     start_pos: usize,
-    /// Next window is `[lo, min(lo + LAZY_BLOCK, n))`.
+    /// Next window is `[lo, min(lo + block, n))`; `block` starts at
+    /// [`FIRST_WINDOW`] and doubles up to `LAZY_BLOCK`.
     lo: u32,
+    block: u32,
     n: u32,
     /// Window output not yet handed to the caller.
     buf: Vec<NodeId>,
@@ -237,6 +254,43 @@ struct LazyPipeline<'q, 'd> {
     /// [`witness_walk_is_bounded`]): computed once per cursor, then each
     /// candidate is a membership probe. Keyed like `globals`.
     pred_sets: HashMap<usize, NodeSet>,
+    /// Range probes for [`range_probe_step`] predicates, or `None` when
+    /// the test has no single cached set (`node()`, `prefix:*`, an
+    /// unknown name) and the predicate takes the `pred_sets` route.
+    /// Keyed like `globals`.
+    probes: HashMap<usize, Option<RangeProbe<'d>>>,
+}
+
+/// A resolved [`range_probe_step`] predicate.
+#[derive(Clone, Copy)]
+enum RangeProbe<'d> {
+    /// `descendant::t`: does `T(t)` meet `[x + 1, subtree_end(x))`?
+    Descendant(&'d NodeSet),
+    /// `following::t`: `[subtree_end(x), |D|)` holds a member of `T(t)`
+    /// iff the last member does, so only that member is kept.
+    Following(Option<NodeId>),
+}
+
+/// Width of a cursor's first window; later windows double up to
+/// [`CostModel::LAZY_BLOCK`].
+const FIRST_WINDOW: u32 = 64;
+
+/// The step of a predicate path whose frontier from one candidate `x` is
+/// a single id interval — `descendant::t` (`[x + 1, subtree_end(x))`) or
+/// `following::t` (`[subtree_end(x), |D|)`), relative, one step, no
+/// nested predicates, no `=s` — so `x` qualifies iff `T(t)` has a member
+/// in that interval.
+fn range_probe_step(p: &CorePath) -> Option<&CoreStep> {
+    match p.steps.as_slice() {
+        [s] if matches!(p.start, CoreStart::Context)
+            && p.eq.is_none()
+            && s.preds.is_empty()
+            && matches!(s.axis, Axis::Descendant | Axis::Following) =>
+        {
+            Some(s)
+        }
+        _ => None,
+    }
 }
 
 /// Can `S→[[p]]({x})` stay cheap for a single candidate?
@@ -252,7 +306,6 @@ struct LazyPipeline<'q, 'd> {
 /// out slower than full evaluation; for those the pipeline computes the
 /// document-global predicate set once and probes it instead.
 fn witness_walk_is_bounded(p: &CorePath) -> bool {
-    use xpath_syntax::Axis;
     p.eq.is_none()
         && p.steps.iter().all(|s| {
             s.preds.is_empty()
@@ -288,14 +341,17 @@ impl Clone for LazyPipeline<'_, '_> {
             ev: CoreXPathEvaluator::new(self.doc),
             steps: self.steps,
             stages: self.stages.clone(),
+            tests: self.tests.clone(),
             start_ids: self.start_ids.clone(),
             start_pos: self.start_pos,
             lo: self.lo,
+            block: self.block,
             n: self.n,
             buf: self.buf.clone(),
             buf_pos: self.buf_pos,
             globals: self.globals.clone(),
             pred_sets: self.pred_sets.clone(),
+            probes: self.probes.clone(),
         }
     }
 }
@@ -322,19 +378,30 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
                     .expect("caller checked spine_is_streamable before building the pipeline")
             })
             .collect();
+        let tests = path
+            .steps
+            .iter()
+            .map(|s| {
+                let test = TypeTest::resolve(doc, s.axis, &s.test);
+                (test, test.cached(doc).filter(|set| set.is_dense()))
+            })
+            .collect();
         LazyPipeline {
             doc,
             ev,
             steps: &path.steps,
             stages,
+            tests,
             start_ids,
             start_pos: 0,
             lo: 0,
+            block: FIRST_WINDOW,
             n: doc.len() as u32,
             buf: Vec::new(),
             buf_pos: 0,
             globals: HashMap::new(),
             pred_sets: HashMap::new(),
+            probes: HashMap::new(),
         }
     }
 
@@ -372,12 +439,16 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
     /// costs at most one window of work.
     fn pull_window(&mut self, doc: &Document, budget: &EvalBudget) -> EvalResult<()> {
         budget.check()?;
-        let hi = self.lo.saturating_add(CostModel::LAZY_BLOCK).min(self.n);
-        // The stage scratch is a shelf buffer; hand it back on every exit
-        // path (including a budget trip inside a predicate walk).
+        let hi = self.lo.saturating_add(self.block).min(self.n);
+        self.block = self.block.saturating_mul(2).min(CostModel::LAZY_BLOCK);
+        // The stage scratch buffers come from the shelves; hand them back
+        // on every exit path (including a budget trip inside a predicate
+        // walk).
         let mut accepted = xpath_xml::pool::take_ids();
-        let r = self.fill_window(doc, budget, hi, &mut accepted);
+        let mut candidates = xpath_xml::pool::take_ids();
+        let r = self.fill_window(doc, budget, hi, &mut accepted, &mut candidates);
         xpath_xml::pool::give_ids(accepted);
+        xpath_xml::pool::give_ids(candidates);
         r
     }
 
@@ -389,6 +460,7 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
         budget: &EvalBudget,
         hi: u32,
         accepted: &mut Vec<NodeId>,
+        candidates: &mut Vec<NodeId>,
     ) -> EvalResult<()> {
         let steps = self.steps;
         let ix = doc.axis_index();
@@ -409,20 +481,26 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
             for &x in &*accepted {
                 stage.push(doc, x);
             }
-            let axis = stage.axis();
             let strip = stage.needs_type_strip();
             // All upstream inputs < hi are in, so this window of raw axis
             // output is final (block-synchronous invariant).
-            let candidates = stage.expanded().restrict_range(self.lo, hi);
+            candidates.clear();
+            stage.window(self.lo, hi, candidates);
 
             accepted.clear();
-            for c in &candidates {
+            // Copied out: the predicate walks below need `&mut self`.
+            let (test, cached) = self.tests[i];
+            for &c in &*candidates {
                 // §4 type strip, per candidate (`child` filtered specials
                 // inline; `attribute`/`namespace` *produce* them).
                 if strip && ix.is_special(c.0) {
                     continue;
                 }
-                if !node_test::matches(doc, axis, &step.test, c) {
+                let passes = match cached {
+                    Some(t) => t.contains(c),
+                    None => test.matches(doc, c),
+                };
+                if !passes {
                     continue;
                 }
                 let mut ok = true;
@@ -443,14 +521,31 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
         Ok(())
     }
 
+    /// The probe of a [`range_probe_step`] predicate, resolved on first
+    /// use (`None` for other predicates, and for probe shapes whose test
+    /// has no single cached set).
+    fn range_probe(&mut self, pred: &CorePred, p: &CorePath) -> Option<RangeProbe<'d>> {
+        let step = range_probe_step(p)?;
+        let doc = self.doc;
+        *self.probes.entry(pred as *const CorePred as usize).or_insert_with(|| {
+            let set = TypeTest::resolve(doc, step.axis, &step.test).cached(doc)?;
+            Some(match step.axis {
+                Axis::Descendant => RangeProbe::Descendant(set),
+                _ => RangeProbe::Following(set.last()),
+            })
+        })
+    }
+
     /// Per-candidate predicate check with short-circuiting connectives.
     /// Document-global predicate paths (non-`Context` start) are cached by
     /// address: their verdict is candidate-independent, so one witness
     /// walk serves the whole cursor. Connectives recurse here (not into
     /// the evaluator) so globals nested under `and`/`or`/`not` cache too.
-    /// Context-dependent paths split on [`witness_walk_is_bounded`]:
-    /// bounded walks run per candidate, unbounded ones probe a
-    /// once-per-cursor `E1` set cached in `pred_sets`.
+    /// Context-dependent paths of the [`range_probe_step`] shape probe
+    /// the cached type set over one id interval; the rest split on
+    /// [`witness_walk_is_bounded`]: bounded walks run per candidate,
+    /// unbounded ones probe a once-per-cursor `E1` set cached in
+    /// `pred_sets`.
     fn pred_holds_cached(
         &mut self,
         pred: &CorePred,
@@ -474,8 +569,17 @@ impl<'q, 'd> LazyPipeline<'q, 'd> {
                 self.globals.insert(key, v);
                 Ok(v)
             }
-            CorePred::Path(p) if witness_walk_is_bounded(p) => self.ev.pred_holds(pred, x, budget),
-            CorePred::Path(_) => {
+            CorePred::Path(p) => {
+                if let Some(probe) = self.range_probe(pred, p) {
+                    let end = self.doc.subtree_end(x);
+                    return Ok(match probe {
+                        RangeProbe::Descendant(set) => set.any_in(x.0 + 1, end),
+                        RangeProbe::Following(last) => last.is_some_and(|l| l.0 >= end),
+                    });
+                }
+                if witness_walk_is_bounded(p) {
+                    return self.ev.pred_holds(pred, x, budget);
+                }
                 let key = pred as *const CorePred as usize;
                 if let Some(s) = self.pred_sets.get(&key) {
                     return Ok(s.contains(x));
@@ -511,6 +615,32 @@ mod tests {
             let want = q.select(&d).unwrap();
             let mut c = lazy_cursor(&q, &d);
             assert_eq!(c.collect_set().unwrap(), want, "{qs}");
+        }
+    }
+
+    #[test]
+    fn range_probe_predicates_match_evaluate() {
+        // Single-step descendant/following predicates take the range
+        // probe over the cached type set; `node()` and unknown names
+        // fall back to the E1 route. Every window size is crossed: the
+        // first windows are narrower than the documents.
+        let queries = [
+            "//*[descendant::title]",
+            "//*[following::price]",
+            "//book[not(descendant::author)]",
+            "//*[descendant::node()]",
+            "//*[following::zzz]",
+            "//*[descendant::text() and following::*]",
+            "//b[following::d]/c",
+        ];
+        for d in [doc_bookstore(), doc_figure8()] {
+            for qs in queries {
+                let q = CompiledQuery::compile(qs).unwrap();
+                let want = q.select(&d).unwrap();
+                let mut c = lazy_cursor(&q, &d);
+                assert_eq!(c.collect_set().unwrap(), want, "{qs}");
+                assert_eq!(q.first(&d).unwrap(), want.first(), "{qs}");
+            }
         }
     }
 

@@ -6,7 +6,7 @@ use xpath_xml::{Document, NodeId};
 
 use crate::compare::compare;
 use crate::context::{EvalError, EvalResult};
-use crate::node_test;
+use crate::node_test::TypeTest;
 use crate::nodeset::NodeSet;
 use crate::value::Value;
 
@@ -62,7 +62,7 @@ pub fn predicate_holds(value: &Value, position: u32) -> bool {
 /// node: `{y | x χ y, y ∈ T(t)}`, sorted in document order.
 pub fn step_candidates(doc: &Document, axis: Axis, test: &NodeTest, x: NodeId) -> Vec<NodeId> {
     let mut v = xpath_axes::axis_from(doc, axis, x);
-    node_test::filter(doc, axis, test, &mut v);
+    TypeTest::resolve(doc, axis, test).filter_vec(doc, &mut v);
     v
 }
 
@@ -95,7 +95,7 @@ pub fn step_candidates_set_sharded(
         xpath_axes::CostModel::global(),
         None,
     );
-    node_test::filter_set(doc, axis, test, &mut out);
+    TypeTest::resolve(doc, axis, test).filter(doc, &mut out);
     out
 }
 

@@ -182,19 +182,9 @@ impl<'d> MinContextEvaluator<'d> {
         let rel = relev(e);
         if rel.has_pos_or_size() {
             // Recurse; N itself is evaluated later per single context.
-            match e {
-                Expr::Binary { left, right, .. } => {
-                    self.eval_by_cnode_only(left, x)?;
-                    self.eval_by_cnode_only(right, x)?;
-                }
-                Expr::Neg(inner) => self.eval_by_cnode_only(inner, x)?,
-                Expr::Call { args, .. } => {
-                    for a in args {
-                        self.eval_by_cnode_only(a, x)?;
-                    }
-                }
-                // position()/last() leaves and constants have no children.
-                _ => {}
+            // (position()/last() leaves have no operands.)
+            for a in operands(e) {
+                self.eval_by_cnode_only(a, x)?;
             }
             return Ok(());
         }
@@ -249,41 +239,18 @@ impl<'d> MinContextEvaluator<'d> {
                     table.insert(Context::of(n), Value::NodeSet(NodeSet::from_sorted(s)));
                 }
             }
-            Expr::Number(v) => table.insert(Context::of(NodeId(0)), Value::Number(*v)),
-            Expr::Literal(s) => table.insert(Context::of(NodeId(0)), Value::String(s.clone())),
             Expr::Var(name) => return Err(EvalError::UnboundVariable(name.clone())),
-            Expr::Neg(inner) => {
-                self.eval_by_cnode_only(inner, x)?;
-                for n in self.domain(rel, x) {
-                    let v = self.eval_single_context(inner, Context::of(n))?;
-                    table.insert(Context::of(n), Value::Number(-v.to_number(self.doc)));
-                }
-            }
-            Expr::Binary { op, left, right } => {
-                self.eval_by_cnode_only(left, x)?;
-                self.eval_by_cnode_only(right, x)?;
-                for n in self.domain(rel, x) {
-                    let l = self.eval_single_context(left, Context::of(n))?;
-                    let r = self.eval_single_context(right, Context::of(n))?;
-                    let v = match op {
-                        BinaryOp::And => Value::Boolean(l.to_boolean() && r.to_boolean()),
-                        BinaryOp::Or => Value::Boolean(l.to_boolean() || r.to_boolean()),
-                        _ => apply_binary(self.doc, *op, l, r)?,
-                    };
-                    table.insert(Context::of(n), v);
-                }
-            }
-            Expr::Call { name, args } => {
-                for a in args {
+            Expr::Number(_)
+            | Expr::Literal(_)
+            | Expr::Neg(_)
+            | Expr::Binary { .. }
+            | Expr::Call { .. } => {
+                for a in operands(e) {
                     self.eval_by_cnode_only(a, x)?;
                 }
                 for n in self.domain(rel, x) {
                     let ctx = Context::of(n);
-                    let mut argv = Vec::with_capacity(args.len());
-                    for a in args {
-                        argv.push(self.eval_single_context(a, ctx)?);
-                    }
-                    table.insert(ctx, functions::apply(self.doc, name, argv, &ctx)?);
+                    table.insert(ctx, self.apply_op(e, ctx)?);
                 }
             }
         }
@@ -303,20 +270,32 @@ impl<'d> MinContextEvaluator<'d> {
 
     /// Appendix A `eval_single_context`: value of `expr(N)` at one context.
     /// Requires `eval_by_cnode_only(N, X)` to have run with the context
-    /// node covered by `X`.
+    /// node covered by `X`, or (the one-row case of
+    /// [`MinContextEvaluator::evaluate_with_seeds`]) every path and filter
+    /// under `N`'s operators to have a table.
     pub(crate) fn eval_single_context(&self, e: &Expr, ctx: Context) -> EvalResult<Value> {
-        let rel = relev(e);
-        if !rel.has_pos_or_size() {
-            let tables = self.tables.borrow();
-            let t = tables
-                .get(&key_of(e))
-                .unwrap_or_else(|| panic!("eval_by_cnode_only must precede eval_single_context"));
-            return t
-                .value_at(ctx)
-                .cloned()
-                .ok_or_else(|| EvalError::Capacity(format!("context {ctx} not covered by table")));
+        if !relev(e).has_pos_or_size() {
+            if let Some(t) = self.tables.borrow().get(&key_of(e)) {
+                return t.value_at(ctx).cloned().ok_or_else(|| {
+                    EvalError::Capacity(format!("context {ctx} not covered by table"))
+                });
+            }
+            assert!(
+                !matches!(e, Expr::Path(_) | Expr::Filter { .. } | Expr::Var(_)),
+                "eval_by_cnode_only must precede eval_single_context"
+            );
         }
+        self.apply_op(e, ctx)
+    }
+
+    /// The value of a constant, operator or function call at `ctx`, its
+    /// operands read through [`MinContextEvaluator::eval_single_context`]:
+    /// the one operator and function dispatch, for table rows and single
+    /// contexts alike.
+    fn apply_op(&self, e: &Expr, ctx: Context) -> EvalResult<Value> {
         match e {
+            Expr::Number(v) => Ok(Value::Number(*v)),
+            Expr::Literal(s) => Ok(Value::String(s.clone())),
             Expr::Binary { op, left, right } => {
                 let l = self.eval_single_context(left, ctx)?;
                 let r = self.eval_single_context(right, ctx)?;
@@ -336,8 +315,9 @@ impl<'d> MinContextEvaluator<'d> {
                 }
                 functions::apply(self.doc, name, argv, &ctx)
             }
-            // Paths/filters/constants are cn-only and handled above.
-            _ => unreachable!("cp/cs-relevant expression of unexpected shape"),
+            // Paths, filters and variables are cn-only and read from
+            // their tables.
+            _ => unreachable!("apply_op on a path, filter or variable"),
         }
     }
 
@@ -440,8 +420,14 @@ impl<'d> MinContextEvaluator<'d> {
     }
 
     /// Like [`MinContextEvaluator::evaluate`] but without clearing the
-    /// table store, so bottom-up seeds survive.
+    /// table store, so bottom-up seeds survive. When every path and
+    /// filter under the query's operators and function calls has a seeded
+    /// table (as for `count(//d)`), the query has one context and is
+    /// computed at it directly, building no tables.
     pub(crate) fn evaluate_with_seeds(&self, query: &Expr, ctx: Context) -> EvalResult<Value> {
+        if self.seeded(query) {
+            return self.eval_single_context(query, ctx);
+        }
         let start = NodeSet::singleton(ctx.node);
         if let Expr::Path(p) = query {
             let out = self.eval_outermost_locpath(p, &start, ctx)?;
@@ -455,6 +441,28 @@ impl<'d> MinContextEvaluator<'d> {
     pub(crate) fn document(&self) -> &'d Document {
         self.doc
     }
+
+    /// Does `e` have a table, or is it a constant, operator or function
+    /// call whose operands all do?
+    fn seeded(&self, e: &Expr) -> bool {
+        self.tables.borrow().contains_key(&key_of(e))
+            || match e {
+                Expr::Path(_) | Expr::Filter { .. } | Expr::Var(_) => false,
+                _ => operands(e).all(|a| self.seeded(a)),
+            }
+    }
+}
+
+/// The operands of an operator or the arguments of a function call, in
+/// order (none for any other shape).
+fn operands(e: &Expr) -> impl Iterator<Item = &Expr> {
+    let (pair, args): ([Option<&Expr>; 2], &[Expr]) = match e {
+        Expr::Binary { left, right, .. } => ([Some(left), Some(right)], &[]),
+        Expr::Neg(inner) => ([Some(inner), None], &[]),
+        Expr::Call { args, .. } => ([None, None], args),
+        _ => ([None, None], &[]),
+    };
+    pair.into_iter().flatten().chain(args)
 }
 
 #[cfg(test)]

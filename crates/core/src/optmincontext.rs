@@ -20,7 +20,10 @@
 //!   are "not evaluated again" (Corollary 11.4: linear space, quadratic
 //!   time for such subexpressions). A candidate whose path already took
 //!   the algebra route is left to MinContext, which then only applies the
-//!   `boolean` / comparison to the seeded node set.
+//!   `boolean` / comparison to the seeded node set. When everything
+//!   outside the seeded sub-paths is constants, operators and function
+//!   calls (as in `count(//d)`), MinContext computes the query at the one
+//!   context directly from the seeds, building no further tables.
 //!
 //! Plain [`Strategy::MinContext`](crate::plan::Strategy::MinContext)
 //! never takes these routes: it stays the paper's Algorithm 8.5.
@@ -108,19 +111,28 @@ impl<'d> OptMinContextEvaluator<'d> {
         query: &Expr,
         ctx: Context,
     ) -> EvalResult<(Value, OptReport)> {
-        let mut report = OptReport::default();
+        self.evaluate_routed(query, &OptRoutes::compile(query), ctx)
+    }
 
-        let mut routes = Routes::default();
-        collect_routes(query, true, &mut routes);
+    /// [`OptMinContextEvaluator::evaluate_with_report`] with the work
+    /// list compiled ahead of time: `routes` must come from
+    /// [`OptRoutes::compile`] on this same `query`. A
+    /// [`Plan`](crate::plan::Plan) compiles its routes once and passes
+    /// them to every evaluation.
+    pub(crate) fn evaluate_routed(
+        &self,
+        query: &Expr,
+        routes: &OptRoutes,
+        ctx: Context,
+    ) -> EvalResult<(Value, OptReport)> {
+        let mut report = OptReport::default();
         let sets = self.run_algebra(&routes.core, ctx)?;
-        if let [(whole, _)] = routes.core.as_slice() {
-            if std::ptr::eq(*whole, query) {
-                // Corollary 11.5: the whole query is Core XPath (or
-                // XPatterns) and took the linear-time route.
-                report.used_core_xpath = true;
-                let out = sets.into_iter().next().expect("one program, one set");
-                return Ok((Value::NodeSet(out), report));
-            }
+        if routes.is_whole_query() {
+            // Corollary 11.5: the whole query is Core XPath (or
+            // XPatterns) and took the linear-time route.
+            report.used_core_xpath = true;
+            let out = sets.into_iter().next().expect("one program, one set");
+            return Ok((Value::NodeSet(out), report));
         }
 
         // Algorithm 11.1: seed the single-source sub-paths' results, then
@@ -129,16 +141,17 @@ impl<'d> OptMinContextEvaluator<'d> {
         let mc = MinContextEvaluator::new(self.doc)
             .with_threads(self.threads)
             .with_eval_budget(self.eval_budget.clone());
-        for ((e, _), set) in routes.core.iter().zip(sets) {
+        for (route, set) in routes.core.iter().zip(sets) {
             // Relev ∅ projects every context onto the one row; {cn} keys
             // it by ctx.node, the only context a top-level path sees.
-            let mut table = CvTable::new(relev(e));
+            let mut table = CvTable::new(route.relev);
             table.insert(ctx, Value::NodeSet(set));
-            mc.seed_table(e, table);
+            mc.seed_table(subexpr(query, &route.pos), table);
             report.core_paths += 1;
         }
-        for e in routes.bottomup {
+        for pos in &routes.bottomup {
             self.eval_budget.check()?;
+            let e = subexpr(query, pos);
             let table = mc.eval_bottomup_expr(e)?;
             mc.seed_table(e, table);
             report.bottomup_paths += 1;
@@ -152,7 +165,7 @@ impl<'d> OptMinContextEvaluator<'d> {
     /// [`EvalBudget`], and record its kernel decisions.
     fn run_algebra(
         &self,
-        programs: &[(&Expr, CoreQuery)],
+        programs: &[CoreRoute],
         ctx: Context,
     ) -> EvalResult<Vec<crate::nodeset::NodeSet>> {
         if programs.is_empty() {
@@ -161,7 +174,7 @@ impl<'d> OptMinContextEvaluator<'d> {
         let ev = CoreXPathEvaluator::new(self.doc).with_threads(self.threads);
         let sets = programs
             .iter()
-            .map(|(_, q)| ev.try_evaluate(q, &[ctx.node], &self.eval_budget))
+            .map(|r| ev.try_evaluate(&r.program, &[ctx.node], &self.eval_budget))
             .collect::<EvalResult<Vec<_>>>();
         self.kernels.merge(ev.kernel_counts());
         sets
@@ -174,68 +187,143 @@ impl<'d> OptMinContextEvaluator<'d> {
     }
 }
 
-/// Algorithm 11.1's work list, both halves in post-order.
-#[derive(Default)]
-struct Routes<'e> {
+/// Algorithm 11.1's work list for one query, both halves in post-order.
+/// Compiled once per query by [`OptRoutes::compile`] (a
+/// [`Plan`](crate::plan::Plan) keeps it), so an evaluation neither walks
+/// the query for candidates nor recompiles algebra programs; it only
+/// looks the subexpressions up by position.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct OptRoutes {
     /// Single-source Core XPath / XPatterns sub-paths and their compiled
     /// algebra programs.
-    core: Vec<(&'e Expr, CoreQuery)>,
+    core: Vec<CoreRoute>,
     /// `boolean(π)` / `π RelOp c` occurrences for backward propagation,
     /// inner candidates before outer ones ("starting with the innermost
     /// ones in case of nesting").
-    bottomup: Vec<&'e Expr>,
+    bottomup: Vec<Vec<u32>>,
 }
 
-/// Walk `e` collecting its [`Routes`]. `top` holds while `e` is reached
-/// from the query root only through operators, function arguments,
-/// filter primaries and path heads: MinContext then evaluates `e` at the
-/// context node alone, so a relative path there has a single source too.
-fn collect_routes<'e>(e: &'e Expr, top: bool, out: &mut Routes<'e>) {
-    if let Some(q) = single_source_program(e, top) {
+/// One single-source sub-path: where it sits, its `Relev` (the key of
+/// its seeded table) and its algebra program.
+#[derive(Clone, Debug)]
+struct CoreRoute {
+    /// Child indices from the query root down ([`nth_child`] order).
+    pos: Vec<u32>,
+    relev: Relev,
+    program: CoreQuery,
+}
+
+impl OptRoutes {
+    /// Walk `query` once, collecting its routes and compiling each
+    /// sub-path's algebra program.
+    pub(crate) fn compile(query: &Expr) -> OptRoutes {
+        let mut out = OptRoutes::default();
+        let mut routed = Vec::new();
+        collect_routes(query, true, &mut Vec::new(), &mut routed, &mut out);
+        out
+    }
+
+    /// Is the whole query one algebra program (Corollary 11.5)?
+    fn is_whole_query(&self) -> bool {
+        matches!(self.core.as_slice(), [only] if only.pos.is_empty())
+    }
+}
+
+/// Walk `e` (at position `pos`) collecting its routes. `top` holds while
+/// `e` is reached from the query root only through operators, function
+/// arguments, filter primaries and path heads: MinContext then evaluates
+/// `e` at the context node alone, so a relative path there has a single
+/// source too. `routed` holds the subexpressions of `out.core`, in order.
+fn collect_routes<'e>(
+    e: &'e Expr,
+    top: bool,
+    pos: &mut Vec<u32>,
+    routed: &mut Vec<&'e Expr>,
+    out: &mut OptRoutes,
+) {
+    if let Some(program) = single_source_program(e, top) {
         // The program covers the path's predicates; nothing inside it
         // needs a route of its own.
-        out.core.push((e, q));
+        out.core.push(CoreRoute { pos: pos.clone(), relev: relev(e), program });
+        routed.push(e);
         return;
     }
-    let routed_before = out.core.len();
+    let routed_before = routed.len();
     // Children first (post-order).
-    match e {
-        Expr::Path(p) => {
-            if let PathStart::Expr(head) = &p.start {
-                collect_routes(head, top, out);
-            }
-            for s in &p.steps {
-                for pr in &s.predicates {
-                    collect_routes(pr, false, out);
-                }
-            }
-        }
-        Expr::Filter { primary, predicates } => {
-            collect_routes(primary, top, out);
-            for pr in predicates {
-                collect_routes(pr, false, out);
-            }
-        }
-        Expr::Binary { left, right, .. } => {
-            collect_routes(left, top, out);
-            collect_routes(right, top, out);
-        }
-        Expr::Neg(inner) => collect_routes(inner, top, out),
-        Expr::Call { args, .. } => {
-            for a in args {
-                collect_routes(a, top, out);
-            }
-        }
-        Expr::Literal(_) | Expr::Number(_) | Expr::Var(_) => {}
+    for i in 0..child_count(e) {
+        pos.push(i as u32);
+        collect_routes(nth_child(e, i), top && keeps_top(e, i), pos, routed, out);
+        pos.pop();
     }
     if let Some(form) = bottomup_candidate(e) {
-        let routed = out.core[routed_before..]
+        let already = routed[routed_before..]
             .iter()
-            .any(|(r, _)| matches!(r, Expr::Path(p) if std::ptr::eq(p, form.path)));
-        if !routed {
-            out.bottomup.push(e);
+            .any(|r| matches!(r, Expr::Path(p) if std::ptr::eq(p, form.path)));
+        if !already {
+            out.bottomup.push(pos.clone());
         }
     }
+}
+
+/// Number of direct subexpressions of `e`, in [`nth_child`] order: a
+/// path's head, then its step predicates; a filter's primary, then its
+/// predicates; operands; arguments.
+fn child_count(e: &Expr) -> usize {
+    match e {
+        Expr::Path(p) => {
+            usize::from(matches!(p.start, PathStart::Expr(_)))
+                + p.steps.iter().map(|s| s.predicates.len()).sum::<usize>()
+        }
+        Expr::Filter { predicates, .. } => 1 + predicates.len(),
+        Expr::Binary { .. } => 2,
+        Expr::Neg(_) => 1,
+        Expr::Call { args, .. } => args.len(),
+        Expr::Literal(_) | Expr::Number(_) | Expr::Var(_) => 0,
+    }
+}
+
+/// The `i`-th direct subexpression of `e` (see [`child_count`]).
+fn nth_child(e: &Expr, i: usize) -> &Expr {
+    match e {
+        Expr::Path(p) => {
+            let mut i = i;
+            if let PathStart::Expr(head) = &p.start {
+                if i == 0 {
+                    return head;
+                }
+                i -= 1;
+            }
+            p.steps.iter().flat_map(|s| &s.predicates).nth(i).expect("index below child_count")
+        }
+        Expr::Filter { primary, predicates } => match i {
+            0 => primary,
+            _ => &predicates[i - 1],
+        },
+        Expr::Binary { left, right, .. } => match i {
+            0 => left,
+            _ => right,
+        },
+        Expr::Neg(inner) => inner,
+        Expr::Call { args, .. } => &args[i],
+        Expr::Literal(_) | Expr::Number(_) | Expr::Var(_) => {
+            unreachable!("leaves have no children")
+        }
+    }
+}
+
+/// Does the `i`-th child of `e` keep `e`'s top-level status? Predicates
+/// do not (MinContext evaluates them at many context nodes).
+fn keeps_top(e: &Expr, i: usize) -> bool {
+    match e {
+        Expr::Path(p) => i == 0 && matches!(p.start, PathStart::Expr(_)),
+        Expr::Filter { .. } => i == 0,
+        _ => true,
+    }
+}
+
+/// The subexpression of `root` at child-index path `pos`.
+fn subexpr<'e>(root: &'e Expr, pos: &[u32]) -> &'e Expr {
+    pos.iter().fold(root, |e, &i| nth_child(e, i as usize))
 }
 
 /// The algebra program for `e` if it is a location path in Core XPath or
@@ -255,7 +343,8 @@ fn single_source_program(e: &Expr, top: bool) -> Option<CoreQuery> {
     if rel != Relev::NONE && !(top && rel == Relev::CN) {
         return None;
     }
-    corexpath::compile_dialect(e, CoreDialect::XPatterns).ok()
+    let fused = xpath_syntax::rewrite::fuse_descendant_steps(e);
+    corexpath::compile_dialect(&fused, CoreDialect::XPatterns).ok()
 }
 
 /// Convenience: evaluate a query string with OptMinContext.
@@ -290,6 +379,34 @@ mod tests {
         assert_eq!(report.bottomup_paths, 2);
         // Both paths are relative inside predicates: many sources.
         assert_eq!(report.core_paths, 0);
+    }
+
+    #[test]
+    fn precompiled_routes_match_per_call_routes() {
+        // A plan compiles the work list once; evaluating through it must
+        // equal compiling it per call, at every context node.
+        let d = doc_figure8();
+        for q in [
+            "count(//b)",
+            "//a/b[count(b/c) > 1]",
+            "count(//a//c) = count(/descendant::a/descendant::c)",
+            "boolean(//d)",
+            "//b[position() = last()]",
+            "/child::a/descendant::*[boolean(following::d[(position() != last()) and \
+             (preceding-sibling::*/preceding::* = 100)]/following::d)]",
+        ] {
+            let e = parse_normalized(q).unwrap();
+            let routes = OptRoutes::compile(&e);
+            let ev = OptMinContextEvaluator::new(&d);
+            for n in d.all_nodes().filter(|&n| d.kind(n) == xpath_xml::NodeKind::Element) {
+                let ctx = Context::of(n);
+                assert_eq!(
+                    ev.evaluate_routed(&e, &routes, ctx).unwrap(),
+                    ev.evaluate_with_report(&e, ctx).unwrap(),
+                    "{q} at {n:?}"
+                );
+            }
+        }
     }
 
     fn report_of(d: &Document, q: &str, ctx: NodeId) -> (Value, OptReport) {
@@ -417,6 +534,10 @@ mod tests {
             "sum(//@id) - count(id('12 24')/ancestor::*)",
             "*[position() > count(//c[2]) div 2]",
             "(b/c)[1]/following::d",
+            "-count(//d) + number('2')",
+            "concat(string(//b), name(), string(), 'x')",
+            "not(//zzz) or count(c) div 0 > 1",
+            "lang('en') or string-length(//c) = 3",
         ];
         for d in [doc_figure8(), doc_bookstore(), doc_flat_text(3)] {
             for q in queries {

@@ -9,9 +9,11 @@
 //! * the normalized (and possibly rewritten) expression,
 //! * its [`Classification`] in the Figure-1 lattice,
 //! * the resolved [`Strategy`] (never [`Strategy::Auto`]),
-//! * eagerly compiled artifacts for the fragment engines — the Core
-//!   XPath/XPatterns algebra program (§10) and the streaming automaton —
-//!   so per-evaluation work is pure runtime.
+//! * eagerly compiled artifacts — the Core XPath/XPatterns algebra
+//!   program (§10, with `//` steps fused into `descendant` steps), the
+//!   streaming automaton, and OptMinContext's work list of algebra
+//!   sub-paths and bottom-up candidates (Algorithm 11.1) — so
+//!   per-evaluation work is pure runtime.
 //!
 //! Because eager compilation happens here, a query outside an explicitly
 //! requested fragment fails at *plan-build* time with
@@ -28,7 +30,7 @@ use crate::corexpath::{self, CoreDialect, CoreQuery, CoreXPathEvaluator};
 use crate::fragment::{classify, Classification, Fragment};
 use crate::mincontext::MinContextEvaluator;
 use crate::naive::NaiveEvaluator;
-use crate::optmincontext::OptMinContextEvaluator;
+use crate::optmincontext::{OptMinContextEvaluator, OptRoutes};
 use crate::pool::PoolEvaluator;
 use crate::streaming::{self, StreamQuery};
 use crate::topdown::TopDownEvaluator;
@@ -94,6 +96,9 @@ pub struct Plan {
     /// Eagerly compiled streaming automaton, present iff `strategy` is
     /// [`Strategy::Streaming`].
     automaton: Option<StreamQuery>,
+    /// OptMinContext's compiled work list, present iff `strategy` is
+    /// [`Strategy::OptMinContext`].
+    routes: Option<OptRoutes>,
     /// The static-analysis report ([`crate::analyze`]): satisfiability,
     /// reverse-axis rewrite, streamability classification, diagnostics.
     report: QueryReport,
@@ -145,7 +150,7 @@ impl Plan {
                 } else {
                     CoreDialect::XPatterns
                 };
-                match corexpath::compile_dialect(&expr, dialect) {
+                match compile_algebra(&expr, dialect) {
                     Ok(q) => algebra = Some(q),
                     // The classifier approves exactly what the algebra
                     // compiler accepts, so under Auto this is unreachable;
@@ -174,12 +179,14 @@ impl Plan {
             },
             _ => {}
         }
+        let routes = (strategy == Strategy::OptMinContext).then(|| OptRoutes::compile(&expr));
         Ok(Plan {
             expr,
             classification,
             strategy,
             algebra,
             automaton,
+            routes,
             report,
             naive_budget,
             threads,
@@ -216,6 +223,7 @@ impl Plan {
             self.strategy,
             self.algebra.as_ref(),
             self.automaton.as_ref(),
+            self.routes.as_ref(),
             self.naive_budget,
             self.threads,
             doc,
@@ -257,6 +265,7 @@ impl Plan {
             self.strategy,
             self.algebra.as_ref(),
             self.automaton.as_ref(),
+            self.routes.as_ref(),
             self.naive_budget,
             self.threads,
             doc,
@@ -320,11 +329,12 @@ pub fn execute_adhoc(
             } else {
                 CoreDialect::XPatterns
             };
-            let q = corexpath::compile_dialect(expr, dialect)?;
+            let q = compile_algebra(expr, dialect)?;
             run(
                 expr,
                 strategy,
                 Some(&q),
+                None,
                 None,
                 naive_budget,
                 0,
@@ -341,6 +351,7 @@ pub fn execute_adhoc(
                 strategy,
                 None,
                 Some(&sq),
+                None,
                 naive_budget,
                 0,
                 doc,
@@ -354,6 +365,7 @@ pub fn execute_adhoc(
             strategy,
             None,
             None,
+            None,
             naive_budget,
             0,
             doc,
@@ -364,8 +376,18 @@ pub fn execute_adhoc(
     }
 }
 
+/// The algebra program of a fragment strategy, with `//` steps fused
+/// (`descendant-or-self::node()/child::t` → `descendant::t`, see
+/// [`xpath_syntax::rewrite::fuse_descendant_steps`]): one axis pass per
+/// `//t` instead of two. [`corexpath::compile_dialect`] itself stays
+/// literal, so the Algorithm 3.2 oracle can still run the unfused steps.
+fn compile_algebra(expr: &Expr, dialect: CoreDialect) -> EvalResult<CoreQuery> {
+    corexpath::compile_dialect(&xpath_syntax::rewrite::fuse_descendant_steps(expr), dialect)
+}
+
 /// Shared runtime dispatch. `strategy` is resolved (never `Auto`) and any
-/// fragment artifacts it needs are supplied by the caller. When `kernels`
+/// artifacts it needs are supplied by the caller (OptMinContext compiles
+/// its own routes when given none). When `kernels`
 /// is given, the adaptive planner decisions of the fragment engines (and
 /// of OptMinContext's algebra routes) are merged into it after the
 /// evaluation. `threads` caps the parallel CVT layer
@@ -377,6 +399,7 @@ fn run(
     strategy: Strategy,
     algebra: Option<&CoreQuery>,
     automaton: Option<&StreamQuery>,
+    routes: Option<&OptRoutes>,
     naive_budget: Option<u64>,
     threads: u32,
     doc: &Document,
@@ -409,7 +432,10 @@ fn run(
             let ev = OptMinContextEvaluator::new(doc)
                 .with_threads(threads)
                 .with_eval_budget(budget.clone());
-            let out = ev.evaluate(expr, ctx)?;
+            let (out, _) = match routes {
+                Some(r) => ev.evaluate_routed(expr, r, ctx)?,
+                None => ev.evaluate_with_report(expr, ctx)?,
+            };
             if let Some(counters) = kernels {
                 counters.merge(ev.kernel_counts());
             }
@@ -475,6 +501,27 @@ mod tests {
             plan("//c/preceding::a", Strategy::Streaming),
             Err(EvalError::UnsupportedFragment(_))
         ));
+    }
+
+    #[test]
+    fn algebra_programs_fuse_double_slash_steps() {
+        use xpath_syntax::Axis;
+        // `//t` is one descendant step without `-O`, predicates included.
+        let p = plan("//a//b[.//c]", Strategy::Auto).unwrap();
+        let steps = &p.algebra().unwrap().path.steps;
+        assert_eq!(steps.iter().map(|s| s.axis).collect::<Vec<_>>(), [Axis::Descendant; 2]);
+        let corexpath::CorePred::Path(inner) = &steps[1].preds[0] else {
+            panic!("expected a path predicate: {:?}", steps[1].preds)
+        };
+        assert_eq!(inner.steps.last().map(|s| s.axis), Some(Axis::Descendant));
+        // The plan's own expression stays as written.
+        assert_eq!(p.expr, parse_normalized("//a//b[.//c]").unwrap());
+        // A positional predicate keeps the pair.
+        let p = plan("//a[2]", Strategy::Auto).unwrap();
+        assert!(p.algebra().is_none());
+        // OptMinContext plans carry their compiled work list.
+        assert!(plan("count(//a)", Strategy::Auto).unwrap().routes.is_some());
+        assert!(plan("//a", Strategy::Auto).unwrap().routes.is_none());
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::context::{Context, EvalError, EvalResult};
 use crate::eval_common::{position_of, predicate_holds, step_candidates};
 use crate::mincontext::MinContextEvaluator;
 use crate::naive::NaiveEvaluator;
-use crate::node_test;
+use crate::node_test::TypeTest;
 use crate::nodeset::NodeSet;
 use crate::relev::{relev, Relev};
 use crate::value::Value;
@@ -289,14 +289,15 @@ impl<'d> MinContextEvaluator<'d> {
     fn propagate_step_backwards(&self, step: &Step, acc: NodeSet) -> EvalResult<NodeSet> {
         let doc = self.document();
         // Y' := {y ∈ Y | node test t holds}.
+        let test = TypeTest::resolve(doc, step.axis, &step.test);
         let mut y1 = acc;
-        node_test::filter_set(doc, step.axis, &step.test, &mut y1);
+        test.filter(doc, &mut y1);
         for pred in &step.predicates {
             // Tables for predicate parts that only need the context node.
             // Candidates may include nodes outside Y' (they participate in
             // position counting), so cover the whole inverse image's
             // candidate space: all nodes matching the test.
-            let cover = NodeSet::from_sorted(node_test::matching_set(doc, step.axis, &step.test));
+            let cover = test.set(doc);
             self.eval_by_cnode_only(pred, &cover)?;
         }
         if step.predicates.iter().all(|p| !relev(p).has_pos_or_size()) {

@@ -23,6 +23,10 @@
 //! 6. removal of constant-`true()` predicates (a predicate that is `true`
 //!    in every context filters nothing).
 //!
+//! Rule 1 is also its own pass, [`fuse_descendant_steps`], which the
+//! engine applies unconditionally where it compiles Core XPath algebra
+//! programs, so `//t` runs as one `descendant::t` step without `-O`.
+//!
 //! Separately from [`optimize`], [`forwardize`] eliminates reverse axes
 //! from absolute descendant spines (the Olteanu et al. "looking forward"
 //! rules); the static analyzer in `xpath-core` uses it to widen the
@@ -207,6 +211,67 @@ fn as_boolean(e: Expr) -> Expr {
     }
 }
 
+/// Rule 1 of [`optimize`] on its own, applied to every location path in
+/// `e` — predicates, filter expressions and function arguments included:
+/// `descendant-or-self::node()/child::t[preds]` → `descendant::t[preds]`
+/// when no predicate is positional ([`is_positional`]). The
+/// redundancy-eliminating `//` rewrite: the merged step selects exactly
+/// the non-special proper descendants the pair selects, in one axis pass
+/// instead of two.
+pub fn fuse_descendant_steps(e: &Expr) -> Expr {
+    match e {
+        Expr::Path(p) => {
+            let start = match &p.start {
+                PathStart::Expr(head) => PathStart::Expr(Box::new(fuse_descendant_steps(head))),
+                other => other.clone(),
+            };
+            let mut steps: Vec<Step> = Vec::with_capacity(p.steps.len());
+            for s in &p.steps {
+                let predicates = s.predicates.iter().map(fuse_descendant_steps).collect();
+                let s = Step { axis: s.axis, test: s.test.clone(), predicates };
+                if let Some(s) = fuse_onto(&mut steps, s) {
+                    steps.push(s);
+                }
+            }
+            Expr::Path(LocationPath { start, steps })
+        }
+        Expr::Filter { primary, predicates } => Expr::Filter {
+            primary: Box::new(fuse_descendant_steps(primary)),
+            predicates: predicates.iter().map(fuse_descendant_steps).collect(),
+        },
+        Expr::Binary { op, left, right } => Expr::Binary {
+            op: *op,
+            left: Box::new(fuse_descendant_steps(left)),
+            right: Box::new(fuse_descendant_steps(right)),
+        },
+        Expr::Neg(inner) => Expr::Neg(Box::new(fuse_descendant_steps(inner))),
+        Expr::Call { name, args } => Expr::Call {
+            name: name.clone(),
+            args: args.iter().map(fuse_descendant_steps).collect(),
+        },
+        Expr::Literal(_) | Expr::Number(_) | Expr::Var(_) => e.clone(),
+    }
+}
+
+/// Rule 1 at one step boundary: when `steps` ends in a bare
+/// `descendant-or-self::node()` and `s` is a `child` step without
+/// positional predicates, replace the pair by `descendant::t[preds]` and
+/// return `None`; otherwise hand `s` back unchanged.
+fn fuse_onto(steps: &mut Vec<Step>, s: Step) -> Option<Step> {
+    let merges = steps.last().is_some_and(|prev| {
+        prev.axis == Axis::DescendantOrSelf
+            && prev.test == NodeTest::Kind(KindTest::Node)
+            && prev.predicates.is_empty()
+    }) && s.axis == Axis::Child
+        && !s.predicates.iter().any(is_positional);
+    if !merges {
+        return Some(s);
+    }
+    steps.pop();
+    steps.push(Step { axis: Axis::Descendant, test: s.test, predicates: s.predicates });
+    None
+}
+
 fn optimize_path(p: &LocationPath) -> LocationPath {
     let start = match &p.start {
         PathStart::Expr(head) => PathStart::Expr(Box::new(optimize(head))),
@@ -224,17 +289,7 @@ fn optimize_path(p: &LocationPath) -> LocationPath {
         let s = Step { axis: s.axis, test: s.test.clone(), predicates };
         // Rule 1: …/descendant-or-self::node() + child::t[nonpositional]
         //         → …/descendant::t.
-        let merges = steps.last().is_some_and(|prev| {
-            prev.axis == Axis::DescendantOrSelf
-                && prev.test == NodeTest::Kind(KindTest::Node)
-                && prev.predicates.is_empty()
-        }) && s.axis == Axis::Child
-            && !s.predicates.iter().any(is_positional);
-        if merges {
-            steps.pop();
-            steps.push(Step { axis: Axis::Descendant, test: s.test, predicates: s.predicates });
-            continue;
-        }
+        let Some(s) = fuse_onto(&mut steps, s) else { continue };
         // Rule 2: drop bare self::node() steps (not after attribute/ns).
         let droppable = s.axis == Axis::SelfAxis
             && s.test == NodeTest::Kind(KindTest::Node)
@@ -410,6 +465,23 @@ mod tests {
         assert_eq!(opt("//a"), "/descendant::a");
         assert_eq!(opt("//a//b"), "/descendant::a/descendant::b");
         assert_eq!(opt("//a[b]"), "/descendant::a[boolean(child::b)]");
+    }
+
+    #[test]
+    fn fusion_alone_merges_every_double_slash_and_nothing_else() {
+        let fuse = |q: &str| fuse_descendant_steps(&parse_normalized(q).unwrap()).to_string();
+        assert_eq!(fuse("//a"), "/descendant::a");
+        assert_eq!(fuse("//a//b"), "/descendant::a/descendant::b");
+        // Inside predicates, function arguments and relative paths.
+        assert_eq!(fuse("//a[.//b]"), "/descendant::a[boolean(self::node()/descendant::b)]");
+        assert_eq!(fuse("count(//d)"), "count(/descendant::d)");
+        // Positional predicates block the merge, as in `optimize`.
+        assert_eq!(fuse("//a[2]"), "/descendant-or-self::node()/child::a[position() = 2]");
+        // No other rule runs: `self::node()` steps and constants stay.
+        assert_eq!(fuse("a/self::node()"), "child::a/self::node()");
+        assert_eq!(fuse("1 + 2"), "1 + 2");
+        // `//@x` is not a child step.
+        assert_eq!(fuse("//@x"), "/descendant-or-self::node()/attribute::x");
     }
 
     #[test]

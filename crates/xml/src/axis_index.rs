@@ -144,6 +144,14 @@ impl AxisIndex {
         self.parent.as_slice()[id as usize]
     }
 
+    /// Every node's parent id ([`NONE`] for the root), indexed by id —
+    /// for loops that walk many parent chains and should index one slice
+    /// rather than re-resolve the backing store per step.
+    #[inline]
+    pub fn parents(&self) -> &[u32] {
+        self.parent.as_slice()
+    }
+
     /// First child id, or [`NONE`].
     #[inline]
     pub fn first_child(&self, id: u32) -> u32 {

@@ -144,6 +144,9 @@ pub struct Document {
     /// [`AxisIndex`](crate::axis_index::AxisIndex)). Prefilled on
     /// snapshot load.
     axis_index: OnceLock<crate::axis_index::AxisIndex>,
+    /// Lazily built type sets `T(key)` of §4, one per node-test key
+    /// asked about (see [`crate::index`]).
+    pub(crate) type_sets: crate::index::TypeSets,
 }
 
 impl std::fmt::Debug for Document {
@@ -164,6 +167,7 @@ impl Document {
             ids: OnceLock::new(),
             refs: OnceLock::new(),
             axis_index: OnceLock::new(),
+            type_sets: crate::index::TypeSets::new(),
         }
     }
 
@@ -187,6 +191,7 @@ impl Document {
             ids: OnceLock::new(),
             refs: OnceLock::new(),
             axis_index: OnceLock::new(),
+            type_sets: crate::index::TypeSets::new(),
         };
         let _ = doc.ids.set(ids);
         let _ = doc.refs.set(refs);
@@ -318,6 +323,20 @@ impl Document {
         let target = name.as_bytes();
         let i = sorted.binary_search_by(|&id| self.name_bytes_of(id).cmp(target)).ok()?;
         Some(NameId(sorted[i]))
+    }
+
+    /// Number of interned names; [`NameId`]s run over `0..name_count()`.
+    pub(crate) fn name_count(&self) -> usize {
+        self.data.name_off.len().saturating_sub(1)
+    }
+
+    /// The type set `T(key)` (§4): every node matching one resolved node
+    /// test (a bitset for a kind, a named set at its density). Built on
+    /// first use by one pass over the kind/name arrays and cached for the
+    /// document's lifetime, on owned and mapped documents alike (see
+    /// [`crate::index`]).
+    pub fn type_set(&self, key: crate::index::TypeKey) -> &crate::NodeSet {
+        self.type_sets.get(self, key)
     }
 
     /// The value span of `n` in the text arena, as raw bytes.

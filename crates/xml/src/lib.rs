@@ -25,7 +25,9 @@
 //!   of `xpath-axes`;
 //! * a serializer ([`Document::serialize`]), a SAX-style event stream
 //!   ([`events`]) for the streaming matcher, document statistics
-//!   ([`stats`]), and name indexes ([`index`]);
+//!   ([`stats`]), and cached type sets ([`index`]): `T(t)` of §4 as one
+//!   dense set per node-test key, built once per document
+//!   ([`Document::type_set`]);
 //! * generators for every document family used in the paper's experiments
 //!   ([`generate`]);
 //! * the tiered word-sweep kernels under every set operation ([`simd`]):
@@ -71,6 +73,7 @@ pub use bytes::NO_MMAP_ENV;
 pub use document::{Children, Document, IdPolicy, NameId, Refs};
 pub use error::ParseError;
 pub use events::StreamEvent;
+pub use index::TypeKey;
 pub use node::{NodeId, NodeKind};
 pub use nodeset::NodeSet;
 pub use parser::ParseOptions;

@@ -93,6 +93,22 @@ impl NodeSet {
         NodeSet { repr: Repr::Vec(v) }
     }
 
+    /// Adopt a raw bitset over `[0, universe)` (one bit per id), counting
+    /// its length with one popcount. Bits at positions `>= universe` are
+    /// cleared. The builder for kernels that mark bits directly instead
+    /// of paying per-insert bookkeeping.
+    pub fn from_words(mut words: Vec<u64>, universe: u32) -> NodeSet {
+        words.resize(universe.div_ceil(WORD_BITS) as usize, 0);
+        if let Some(last) = words.last_mut() {
+            let tail = universe % WORD_BITS;
+            if tail != 0 {
+                *last &= u64::MAX >> (WORD_BITS - tail);
+            }
+        }
+        let len = simd::popcount(&words) as u32;
+        NodeSet { repr: Repr::Bits { words, universe, len } }
+    }
+
     /// Build from a vector already in strictly ascending document order.
     pub fn from_sorted(v: Vec<NodeId>) -> NodeSet {
         debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "input must be sorted and deduped");
@@ -137,6 +153,41 @@ impl NodeSet {
             Repr::Vec(v) => v.binary_search(&n).is_ok(),
             Repr::Bits { words, universe, .. } => {
                 n.0 < *universe && words[(n.0 / WORD_BITS) as usize] >> (n.0 % WORD_BITS) & 1 == 1
+            }
+        }
+    }
+
+    /// Heap bytes held by the set's buffer (its capacity).
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Vec(v) => v.capacity() * std::mem::size_of::<NodeId>(),
+            Repr::Bits { words, .. } => words.capacity() * std::mem::size_of::<u64>(),
+        }
+    }
+
+    /// Does the set hold any id in `[lo, hi)`? `O(log n)` sparse; a scan
+    /// of the covered words dense, stopping at the first nonzero one.
+    pub fn any_in(&self, lo: u32, hi: u32) -> bool {
+        match &self.repr {
+            Repr::Vec(v) => {
+                let i = v.partition_point(|n| n.0 < lo);
+                v.get(i).is_some_and(|n| n.0 < hi)
+            }
+            Repr::Bits { words, universe, .. } => {
+                let hi = hi.min(*universe);
+                if lo >= hi {
+                    return false;
+                }
+                let (lw, hw) = ((lo / WORD_BITS) as usize, ((hi - 1) / WORD_BITS) as usize);
+                let lo_mask = u64::MAX << (lo % WORD_BITS);
+                let hi_mask = u64::MAX >> (WORD_BITS - 1 - (hi - 1) % WORD_BITS);
+                if lw == hw {
+                    return words[lw] & lo_mask & hi_mask != 0;
+                }
+                words[lw] & lo_mask != 0
+                    || words[lw + 1..hw].iter().any(|&w| w != 0)
+                    || words[hw] & hi_mask != 0
             }
         }
     }
@@ -1008,6 +1059,31 @@ mod tests {
             }
             assert_eq!(NodeSet::union_all(1000, parts.iter()), fold, "{parts_n} parts");
         }
+    }
+
+    #[test]
+    fn any_in_agrees_with_a_scan_in_both_reprs() {
+        let ids = [0u32, 5, 63, 64, 65, 127, 128, 200, 255];
+        for set in [ns(&ids), dense(&ids, 256)] {
+            for lo in 0..260u32 {
+                for hi in [lo, lo + 1, lo + 2, lo + 63, lo + 64, lo + 65, 300] {
+                    let want = ids.iter().any(|&i| lo <= i && i < hi);
+                    assert_eq!(set.any_in(lo, hi), want, "[{lo}, {hi}) dense={}", set.is_dense());
+                }
+            }
+        }
+        assert!(!NodeSet::new().any_in(0, 10));
+    }
+
+    #[test]
+    fn from_words_counts_once() {
+        let s = NodeSet::from_words(vec![0b1011, 0, 1 << 63], 192);
+        assert!(s.is_dense());
+        assert_eq!(s.len(), 4);
+        assert_eq!(s, ns(&[0, 1, 3, 191]));
+        // A short buffer is padded to the universe; bits past it are cleared.
+        assert_eq!(NodeSet::from_words(vec![1], 1000).len(), 1);
+        assert_eq!(NodeSet::from_words(vec![u64::MAX], 3), ns(&[0, 1, 2]));
     }
 
     #[test]

@@ -138,3 +138,86 @@ fn adaptive_kernel_decisions_cover_both_routes() {
     assert!(counts.bulk_dense > 0, "no dense kernel picks across the bench corpus: {counts:?}");
     assert!(counts.bulk_sparse > 0, "no sparse kernel picks across the bench corpus: {counts:?}");
 }
+
+/// `//` fusion (`descendant-or-self::node()/child::t` → `descendant::t`)
+/// as the engine compiles it — through the plan of a [`Compiler`]-built
+/// query, at set speed — against the literal, unfused program on the
+/// Algorithm 3.2 oracle with per-node node tests. Roots, document
+/// elements and a spread of inner nodes serve as contexts, and the
+/// corpus puts `.//x` inside predicates.
+fn assert_fusion_agrees(doc: &Document, queries: &[&str], label: &str) {
+    use gkp_xpath::syntax::rewrite::fuse_descendant_steps;
+    use gkp_xpath::syntax::{Axis, KindTest, NodeTest};
+    use gkp_xpath::Compiler;
+    let oracle = CoreXPathEvaluator::with_backend(doc, AxisBackend::Alg32);
+    let adaptive = CoreXPathEvaluator::new(doc);
+    let compiler = Compiler::new().threads(1);
+    let mut contexts = vec![doc.root(), doc.document_element().unwrap_or(doc.root())];
+    contexts.extend(doc.all_nodes().step_by(7).take(12));
+    for q in queries {
+        let e = parse_normalized(q).unwrap_or_else(|err| panic!("{q}: {err}"));
+        let literal = compile(&e).unwrap_or_else(|err| panic!("{q}: {err}"));
+        let fused = compile(&fuse_descendant_steps(&e)).unwrap();
+        let cq = compiler.compile(q).unwrap();
+        let plan_steps = cq.plan().algebra().map(|a| a.path.steps.len());
+        assert_eq!(plan_steps, Some(fused.path.steps.len()), "{label}: plan fuses {q}");
+        for &ctx in &contexts {
+            let want = oracle.evaluate(&literal, &[ctx]).to_vec();
+            assert_eq!(
+                adaptive.evaluate(&fused, &[ctx]).to_vec(),
+                want,
+                "{label}: fused {q} from {ctx:?}"
+            );
+            // The public path runs the plan's fused program.
+            let got = cq.select_at(doc, gkp_xpath::core::Context::of(ctx)).unwrap().to_vec();
+            assert_eq!(got, want, "{label}: compiled {q} from {ctx:?}");
+        }
+        assert_eq!(
+            adaptive.matching_contexts(&fused),
+            oracle.matching_contexts(&literal),
+            "{label}: S← of fused {q}"
+        );
+        // Exactly the spine's `descendant-or-self::node()/child::t` pairs
+        // merge.
+        let pairs = literal
+            .path
+            .steps
+            .windows(2)
+            .filter(|w| {
+                w[0].axis == Axis::DescendantOrSelf
+                    && w[0].test == NodeTest::Kind(KindTest::Node)
+                    && w[0].preds.is_empty()
+                    && w[1].axis == Axis::Child
+            })
+            .count();
+        assert_eq!(fused.path.steps.len() + pairs, literal.path.steps.len(), "{label}: {q}");
+    }
+}
+
+#[test]
+fn fused_double_slash_agrees_with_the_literal_oracle() {
+    let mut corpus: Vec<&str> = BENCH_QUERIES.to_vec();
+    corpus.extend([
+        "//b[.//c]",
+        "//*[.//d and not(.//a)]",
+        ".//c",
+        "b//d",
+        "//a[b//c]//d",
+        "//node()",
+        "//text()",
+        "//*[descendant-or-self::node()/child::b]",
+        "//b[following::c]//d",
+        // `//` before a non-child step is not fused.
+        "//following-sibling::b",
+        "//parent::*",
+        "//self::c",
+        "//attribute::*",
+    ]);
+    let doc = doc_balanced(4, 4, &["a", "b", "c", "d"]);
+    assert_fusion_agrees(&doc, &corpus, "balanced");
+    assert_fusion_agrees(&doc_bookstore(), &corpus, "bookstore");
+    for seed in 0..8u64 {
+        let cfg = RandomDocConfig { elements: 60, ..RandomDocConfig::default() };
+        assert_fusion_agrees(&doc_random(seed, &cfg), &corpus, &format!("random seed {seed}"));
+    }
+}

@@ -101,6 +101,35 @@ fn core_xpath_linear_in_data() {
     }
 }
 
+/// `prefix:*` on a per-node strategy stays linear when every element
+/// has its own name: the node test resolves per source node without
+/// scanning the document's name table (which here grows with the
+/// document, so a scan per source would make the query quadratic).
+#[test]
+fn namespace_wildcard_per_node_linear_in_names() {
+    let mut times = Vec::new();
+    for n in [2_000usize, 8_000] {
+        let mut xml = String::from("<r>");
+        for i in 0..n {
+            xml.push_str(&format!("<e{i}><pre:x{i}/></e{i}>"));
+        }
+        xml.push_str("</r>");
+        let d = gkp_xpath::xml::Document::parse_str(&xml).unwrap();
+        let engine = Engine::new(&d);
+        let e = engine.prepare("//pre:*").unwrap();
+        let mut best = Duration::MAX;
+        for _ in 0..3 {
+            let t = Instant::now();
+            let v = engine.evaluate_expr(&e, Strategy::TopDown, Context::of(d.root())).unwrap();
+            best = best.min(t.elapsed());
+            assert_eq!(v.as_node_set().map(gkp_xpath::NodeSet::len), Some(n));
+        }
+        times.push(best.as_secs_f64());
+    }
+    // 4x the document (and 4x the names): ~4x linear, ~16x quadratic.
+    assert!(times[1] < times[0] * 8.0 + 0.01, "not linear-ish: {times:?}");
+}
+
 /// §7: the top-down engine handles the paper's hardest workload (Table
 /// VII's Experiment-2 queries) in time linear in query depth.
 #[test]
